@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -27,6 +28,7 @@ import (
 	"strings"
 	"sync"
 
+	"pmemsched/internal/cli"
 	"pmemsched/internal/core"
 	"pmemsched/internal/numa"
 	"pmemsched/internal/platform"
@@ -498,43 +500,51 @@ func clampPoint(p point) {
 }
 
 func main() {
-	iters := flag.Int("iters", 6, "coordinate-descent sweeps")
-	focus := flag.String("focus", "", "comma-separated parameter indices to randomize around the defaults (random search instead of coordinate descent)")
-	samples := flag.Int("samples", 400, "random samples in -focus mode")
-	seed := flag.Int64("seed", 1, "random seed for restarts")
-	restarts := flag.Int("restarts", 2, "random restarts")
-	quick := flag.Bool("quick", false, "evaluate the current defaults and exit")
-	pointArg := flag.String("point", "", "evaluate a comma-separated parameter vector and exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
+
+// run parses args, runs the requested evaluation or search, prints
+// its progress and report to stdout (errors go to stderr), and returns
+// the exit code.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("calibrate", flag.ContinueOnError)
+	iters := fs.Int("iters", 6, "coordinate-descent sweeps")
+	focus := fs.String("focus", "", "comma-separated parameter indices to randomize around the defaults (random search instead of coordinate descent)")
+	samples := fs.Int("samples", 400, "random samples in -focus mode")
+	seed := fs.Int64("seed", 1, "random seed for restarts")
+	restarts := fs.Int("restarts", 2, "random restarts")
+	quick := fs.Bool("quick", false, "evaluate the current defaults and exit")
+	pointArg := fs.String("point", "", "evaluate a comma-separated parameter vector and exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *pointArg != "" {
 		parts := strings.Split(*pointArg, ",")
 		if len(parts) != len(params) {
 			fmt.Fprintf(os.Stderr, "calibrate: point has %d values, want %d\n", len(parts), len(params))
-			os.Exit(2)
+			return 2
 		}
 		p := make(point, len(parts))
 		for i, s := range parts {
 			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "calibrate:", err)
-				os.Exit(2)
+				return 2
 			}
 			p[i] = v
 		}
 		clampPoint(p)
-		report(p)
-		return
+		return report(stdout, p)
 	}
 	if *quick {
-		report(defaultPoint())
-		return
+		return report(stdout, defaultPoint())
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	best := defaultPoint()
 	bestEval := evaluate(best)
-	fmt.Printf("start: score %.1f correct %d/18\n", bestEval.score, bestEval.correct)
+	cli.Sayf(stdout, "start: score %.1f correct %d/18\n", bestEval.score, bestEval.correct)
 
 	if *focus != "" {
 		var idx []int
@@ -542,7 +552,7 @@ func main() {
 			v, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || v < 0 || v >= len(params) {
 				fmt.Fprintf(os.Stderr, "calibrate: bad focus index %q\n", s)
-				os.Exit(2)
+				return 2
 			}
 			idx = append(idx, v)
 		}
@@ -556,12 +566,11 @@ func main() {
 			ce := evaluate(cand)
 			if ce.score > bestEval.score {
 				best, bestEval = cand, ce
-				fmt.Printf("sample %d: score %.1f correct %d/18\n  new best: %v\n", s, ce.score, ce.correct, []float64(best))
+				cli.Sayf(stdout, "sample %d: score %.1f correct %d/18\n  new best: %v\n", s, ce.score, ce.correct, []float64(best))
 			}
 		}
-		fmt.Println("\n=== best ===")
-		report(best)
-		return
+		cli.Sayln(stdout, "\n=== best ===")
+		return report(stdout, best)
 	}
 
 	for restart := 0; restart <= *restarts; restart++ {
@@ -597,10 +606,10 @@ func main() {
 					}
 				}
 			}
-			fmt.Printf("restart %d sweep %d: score %.1f correct %d/18\n", restart, sweep, curEval.score, curEval.correct)
+			cli.Sayf(stdout, "restart %d sweep %d: score %.1f correct %d/18\n", restart, sweep, curEval.score, curEval.correct)
 			if curEval.score > bestEval.score {
 				best, bestEval = cur.clone(), curEval
-				fmt.Printf("  new best: %v\n", []float64(best))
+				cli.Sayf(stdout, "  new best: %v\n", []float64(best))
 			}
 			if !improved {
 				break
@@ -611,19 +620,22 @@ func main() {
 		}
 	}
 
-	fmt.Println("\n=== best ===")
-	report(best)
+	cli.Sayln(stdout, "\n=== best ===")
+	return report(stdout, best)
 }
 
-func report(p point) {
+// report evaluates p, prints the score, the parameter vector, every
+// band violation and the per-workload winners, and returns the exit
+// code: 1 when the point is infeasible.
+func report(stdout io.Writer, p point) int {
 	er := evaluate(p)
-	fmt.Printf("score %.1f, correct %d/18\n", er.score, er.correct)
+	cli.Sayf(stdout, "score %.1f, correct %d/18\n", er.score, er.correct)
 	for i, prm := range params {
-		fmt.Printf("  %-22s %.6g\n", prm.name, p[i])
+		cli.Sayf(stdout, "  %-22s %.6g\n", prm.name, p[i])
 	}
 	sort.Strings(er.detail)
 	for _, d := range er.detail {
-		fmt.Println("  !", d)
+		cli.Sayln(stdout, "  !", d)
 	}
 	s := materialize(p)
 	suite := s.suite()
@@ -643,11 +655,12 @@ func report(p point) {
 		if core.Configs[bestIdx] == t.want {
 			mark = "*"
 		}
-		fmt.Printf("%s %-22s want %-6s got %-6s  [%7.2f %7.2f %7.2f %7.2f]\n",
+		cli.Sayf(stdout, "%s %-22s want %-6s got %-6s  [%7.2f %7.2f %7.2f %7.2f]\n",
 			mark, suite[t.index].Name, t.want.Label(), core.Configs[bestIdx].Label(),
 			row[0], row[1], row[2], row[3])
 	}
 	if er.score <= -1e8 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

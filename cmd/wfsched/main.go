@@ -27,13 +27,9 @@ import (
 	"io"
 	"os"
 
-	"pmemsched"
 	"pmemsched/internal/cli"
 	"pmemsched/internal/cluster"
 	"pmemsched/internal/core"
-	"pmemsched/internal/stack"
-	"pmemsched/internal/stack/nova"
-	"pmemsched/internal/stack/nvstream"
 	"pmemsched/internal/workflow"
 	"pmemsched/internal/workloads"
 )
@@ -70,8 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stream := fs.Bool("stream", false, "stream the trace through the engine (constant memory; -trace files must already be sorted by arrival)")
 	summaryOnly := fs.Bool("summary-only", false, "aggregate on the fly and emit only the summary (constant memory; fleet-scale runs)")
 	dedupSamples := fs.Bool("dedup-samples", false, "drop consecutive identical utilization samples from the series")
-	incrementalReflow := fs.Bool("incremental-reflow", false, "socket-local incremental interference reflow (bounded per-event work; last-ulp fp drift vs the exact reflow)")
-	linearScan := fs.Bool("linear-scan", false, "disable the free-capacity index; restore the pre-fleet all-nodes scans (A/B benchmarking)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -116,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cli.Sayf(stderr, "wfsched: -node-dram must be non-negative, got %g\n", *nodeDRAM)
 		return 2
 	}
-	env, err := envFor(*stackName)
+	env, err := cli.StackEnv(*stackName)
 	if err != nil {
 		cli.Sayln(stderr, "wfsched:", err)
 		return 2
@@ -134,14 +128,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	rt := core.NewRunner(env, *parallel)
 	opt := cluster.Options{
-		Nodes:      *nodes,
-		Policy:     policy,
-		Estimator:  cluster.NewEstimator(rt),
-		LinearScan: *linearScan,
+		Nodes:     *nodes,
+		Policy:    policy,
+		Estimator: cluster.NewEstimator(rt),
 		Fleet: cluster.FleetOptions{
-			IncrementalReflow: *incrementalReflow,
-			DedupSamples:      *dedupSamples,
-			SummaryOnly:       *summaryOnly,
+			DedupSamples: *dedupSamples,
+			SummaryOnly:  *summaryOnly,
 		},
 	}
 	opt.DRAMBytesPerNode = *nodeDRAM * 1024 * 1024 * 1024
@@ -374,17 +366,4 @@ func faultOptions(opt *cluster.Options, faults bool, schedule string, mtbf, mttr
 	retry.CheckpointIntervalSeconds = checkpoint
 	opt.Retry = retry
 	return nil
-}
-
-func envFor(name string) (core.Env, error) {
-	env := pmemsched.DefaultEnv()
-	switch name {
-	case "nova":
-		env.NewStack = func() stack.Instance { return nova.Default() }
-	case "nvstream":
-		env.NewStack = func() stack.Instance { return nvstream.Default() }
-	default:
-		return env, fmt.Errorf("unknown stack %q (want nova or nvstream)", name)
-	}
-	return env, nil
 }

@@ -20,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"io"
 	"log/slog"
 	"net"
@@ -30,14 +29,10 @@ import (
 	"syscall"
 	"time"
 
-	"pmemsched"
 	"pmemsched/internal/cli"
 	"pmemsched/internal/cluster"
 	"pmemsched/internal/core"
 	"pmemsched/internal/schedd"
-	"pmemsched/internal/stack"
-	"pmemsched/internal/stack/nova"
-	"pmemsched/internal/stack/nvstream"
 )
 
 func main() {
@@ -69,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	env, err := envFor(*stackName)
+	env, err := cli.StackEnv(*stackName)
 	if err != nil {
 		cli.Sayln(stderr, "wfschedd:", err)
 		return 2
@@ -112,6 +107,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		srv.AddNodes(*nodes)
 	}
 
+	// Install the signal handler before announcing the address: a
+	// supervisor may signal as soon as it reads the announcement, and
+	// until NotifyContext runs Go's default action kills the process.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		cli.Sayln(stderr, "wfschedd:", err)
@@ -121,8 +121,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ln.Addr(), *policyName, *stackName)
 
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	served := make(chan error, 1)
 	go func() { served <- httpSrv.Serve(ln) }()
 
@@ -148,17 +146,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-}
-
-func envFor(name string) (core.Env, error) {
-	env := pmemsched.DefaultEnv()
-	switch name {
-	case "nova":
-		env.NewStack = func() stack.Instance { return nova.Default() }
-	case "nvstream":
-		env.NewStack = func() stack.Instance { return nvstream.Default() }
-	default:
-		return env, fmt.Errorf("unknown stack %q (want nova or nvstream)", name)
-	}
-	return env, nil
 }

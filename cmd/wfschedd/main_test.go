@@ -170,8 +170,50 @@ func TestPortCollision(t *testing.T) {
 	}
 }
 
-func TestEnvForError(t *testing.T) {
-	if _, err := envFor("ext4"); err == nil || !strings.Contains(err.Error(), "unknown stack") {
-		t.Errorf("envFor(ext4) error %v", err)
+// signalOnAnnounce sends the process SIGTERM from inside the write that
+// announces the listen address, before run can take another step.
+type signalOnAnnounce struct {
+	mu   sync.Mutex
+	buf  bytes.Buffer
+	sent bool
+	err  error
+}
+
+func (w *signalOnAnnounce) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	n, err := w.buf.Write(p)
+	if !w.sent && addrRE.Match(w.buf.Bytes()) {
+		w.sent = true
+		w.err = syscall.Kill(syscall.Getpid(), syscall.SIGTERM)
+	}
+	return n, err
+}
+
+// TestSignalRightAfterAnnounce pins the order of startup: the SIGTERM
+// handler is installed before the address is announced, so a
+// supervisor that signals the moment it reads the address gets a
+// graceful drain instead of the default action killing the process.
+func TestSignalRightAfterAnnounce(t *testing.T) {
+	w := &signalOnAnnounce{}
+	done := make(chan int, 1)
+	go func() {
+		done <- run([]string{"-addr", "127.0.0.1:0", "-quiet"}, w, io.Discard)
+	}()
+	select {
+	case code := <-done:
+		if code != 0 {
+			t.Fatalf("exit code %d after SIGTERM, want 0", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not drain within 10s of SIGTERM")
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.sent || w.err != nil {
+		t.Fatalf("SIGTERM sent %v, error %v", w.sent, w.err)
+	}
+	if !strings.Contains(w.buf.String(), "bye") {
+		t.Errorf("shutdown narration missing from stdout: %q", w.buf.String())
 	}
 }

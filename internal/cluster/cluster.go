@@ -295,16 +295,16 @@ type SchedContext struct {
 	// node when it is freshly repaired and other nodes fit.
 	avoid []int
 
-	// idx is the engine's bucketed free-capacity view (nil under
-	// Options.LinearScan and in hand-built test contexts, where queries
-	// fall back to scanning Nodes). Tentative placements update it
+	// idx is the engine's bucketed free-capacity view (nil when a
+	// context hides it, as the tests' brute-force oracle does; queries
+	// then fall back to scanning Nodes). Tentative placements update it
 	// through a journal the engine rolls back after the pass.
 	idx *freeIndex
-	// owned implements copy-on-write: when non-nil, Nodes aliases the
-	// engine's authoritative views and the first mutation of a node
-	// clones it into the slice (owned[i] marks clones). Policies must
-	// mutate nodes only through Place. When nil, Nodes is a private deep
-	// copy and is mutated directly (the legacy path).
+	// owned implements copy-on-write: Nodes aliases the engine's
+	// authoritative views until the first mutation of a node clones it
+	// into the slice (owned[i] marks clones, or nodes the context
+	// already holds privately). Policies must mutate nodes only through
+	// Place.
 	owned []bool
 	// ephemeral counts zero-duration placements made this pass. The
 	// index tracks structural occupancy (residents hold cores until
@@ -318,7 +318,7 @@ type SchedContext struct {
 // node returns a mutable view of the node, cloning it first under
 // copy-on-write so the engine's authoritative state stays untouched.
 func (c *SchedContext) node(id int) *NodeView {
-	if c.owned == nil || c.owned[id] {
+	if c.owned[id] {
 		return c.Nodes[id]
 	}
 	n := c.Nodes[id]
@@ -527,12 +527,6 @@ type Options struct {
 	// exponential backoff, bounded attempts, optional
 	// checkpoint-restart. The zero value selects DefaultRetry().
 	Retry RetryPolicy
-	// LinearScan disables the free-capacity index and the copy-on-write
-	// snapshots, restoring the pre-fleet engine's all-nodes scans and
-	// per-pass deep copies. The indexed engine is exact (byte-identical
-	// output), so this exists purely for A/B benchmarking and for
-	// cross-checking the index in tests.
-	LinearScan bool
 	// Fleet holds the opt-in fleet-scale trade-offs. The zero value
 	// changes nothing; see FleetOptions.
 	Fleet FleetOptions
@@ -544,14 +538,6 @@ type Options struct {
 // documented way, so each defaults off and golden-pinned small-trace
 // runs stay byte-identical.
 type FleetOptions struct {
-	// IncrementalReflow recomputes interference rates only for jobs on
-	// node sockets whose demand actually changed, instead of every
-	// resident in the cluster, and integrates each job's progress lazily
-	// (at its own rate changes) instead of at every cluster event. The
-	// trajectories are mathematically identical but the floating-point
-	// sums associate differently, so results can drift in the last ulp
-	// relative to the full reflow. No effect when interference is off.
-	IncrementalReflow bool
 	// DedupSamples drops a utilization sample when no node's occupancy
 	// changed since the previous sample, bounding Metrics.Series by the
 	// number of occupancy changes instead of the number of event times.

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
 
 	"pmemsched/internal/numa"
 )
@@ -42,11 +41,12 @@ import (
 // bucketed freeIndex instead of scanning every node, and hands
 // policies a copy-on-write snapshot instead of deep-copying every
 // NodeView per pass. All three are exact — the index returns the node
-// the linear scan would have, the COW view reads identically, and the
-// metrics integrate the same occupancy values — so default output is
-// byte-identical to the pre-index engine (Options.LinearScan restores
-// the old scans for A/B benchmarking). The opt-in FleetOptions trade
-// byte-compatibility for bounded per-event work; see Options.Fleet.
+// a linear scan would have, the COW view reads identically, and the
+// metrics integrate the same occupancy values — so output is
+// byte-identical to a brute-force engine; the tests keep that
+// reference as a policy wrapper that hides the index and hands the
+// policy a deep copy. The opt-in FleetOptions trade byte-compatibility
+// for bounded memory; see Options.Fleet.
 
 type eventKind uint8
 
@@ -91,11 +91,17 @@ func (h *eventHeap) peek() (event, bool) {
 	return (*h)[0], true
 }
 
-// jobState tracks one trace job through the simulation.
+// jobState tracks one job through the event loop.
+//
+// The lifecycle flags share one word (failed belongs to the fault
+// model below): the daemon's store keeps a jobState per submitted job,
+// and at 384 bytes the record fills its allocation size class exactly.
 type jobState struct {
 	job      Job
+	queued   bool // arrived and pending, not yet placed
 	started  bool
 	done     bool
+	failed   bool // retry budget exhausted; the job will never complete
 	node     int
 	cfg      string
 	start    float64
@@ -113,7 +119,6 @@ type jobState struct {
 	attempts int     // times the job has started
 	credit   float64 // checkpointed standalone-seconds carried into the next attempt
 	wasted   float64 // standalone-seconds lost to kills (work beyond the last checkpoint)
-	failed   bool    // retry budget exhausted; the job will never complete
 }
 
 // jobSource is the engine-facing arrival stream: jobs in trace order,
@@ -239,44 +244,239 @@ func (c *checkedSource) next() (Job, bool, error) {
 	return j, true, nil
 }
 
-// dirtyNodes tracks, between reflow passes, which nodes saw a
-// residency change and on which device socket — the socket-local
-// incremental reflow re-rates only the residents streaming through a
-// changed socket.
-type dirtyNodes struct {
-	mask []uint8 // per node: bit s set = socket s's demand changed
-	list []int   // nodes with a nonzero mask, in mark order
-}
+// engine is the one cluster event loop: the node views, the
+// free-capacity index, the job states, the event heap and the pending
+// queue, plus the four steps every driver composes — admit an arrival,
+// run one policy pass, commit that pass's placements, and retire an
+// event. simulate feeds it a jobSource and runs it to completion;
+// State drives it from Submit/Schedule/AdvanceTo.
+type engine struct {
+	policy Policy
+	est    Estimator
+	iv     Interference
+	retry  RetryPolicy
+	faults *faultDriver // nil unless the fault model is enabled
+	m      *Metrics     // nil for State, which keeps no report
+	cores  int
+	dram   float64
 
-func (d *dirtyNodes) mark(node, socket int) {
-	if d.mask[node] == 0 {
-		d.list = append(d.list, node)
-	}
-	d.mask[node] |= 1 << uint(socket&1)
-}
-
-// simulate is the shared event loop behind Simulate and SimulateStream.
-func simulate(src jobSource, opt Options, cores int) (*Metrics, error) {
-	iv := opt.Interference
-	retry := opt.retry()
-	fleet := opt.Fleet
-	nodes := make([]*NodeView, opt.Nodes)
-	for i := range nodes {
-		nodes[i] = &NodeView{ID: i, Cores: cores, DRAMBytes: opt.DRAMBytesPerNode}
-	}
-	var idx *freeIndex
-	if !opt.LinearScan {
-		idx = newFreeIndex(opt.Nodes, cores)
-	}
+	now     float64
+	nodes   []*NodeView
+	idx     *freeIndex
+	states  []*jobState
+	events  eventHeap
+	pending []Job
+	// avoid[jobID] is the node whose failure killed the job's latest
+	// attempt; nil unless the fault model is enabled.
+	avoid []int
 	// occ mirrors each node's metered occupancy (the value
 	// Cores - FreeAt(now) would report, including the convention that a
 	// down node meters as fully busy), maintained incrementally so the
 	// metrics never rescan resident lists.
-	occ := make([]int, opt.Nodes)
+	occ      []int
+	finished int // completed or permanently failed jobs
 
-	var states []*jobState
-	var events eventHeap
-	var avoid []int
+	// Reusable copy-on-write snapshot scratch for the policy pass.
+	view  []*NodeView
+	owned []bool
+
+	// onCommit, when set, runs for each committed placement once the
+	// job's start is recorded and before the free index is charged for
+	// it. State uses it to read each placement's filter candidates; it
+	// is nil for simulate.
+	onCommit func(st *jobState, pl Placement)
+}
+
+// newEngine builds an engine over nodes fresh nodes of the given shape
+// with the clock at zero.
+func newEngine(nodes, cores int, dram float64, policy Policy, est Estimator, iv Interference) *engine {
+	e := &engine{
+		policy: policy,
+		est:    est,
+		iv:     iv,
+		cores:  cores,
+		dram:   dram,
+		nodes:  make([]*NodeView, nodes),
+		idx:    newFreeIndex(nodes, cores),
+		occ:    make([]int, nodes),
+	}
+	for i := range e.nodes {
+		e.nodes[i] = &NodeView{ID: i, Cores: cores, DRAMBytes: dram}
+	}
+	return e
+}
+
+// addNode registers one fresh, fully free node and returns its ID.
+func (e *engine) addNode() int {
+	id := e.idx.add()
+	e.nodes = append(e.nodes, &NodeView{ID: id, Cores: e.cores, DRAMBytes: e.dram})
+	e.occ = append(e.occ, 0)
+	return id
+}
+
+// admit queues an arrived job for the next pass.
+func (e *engine) admit(st *jobState) {
+	st.queued = true
+	e.pending = append(e.pending, st.job)
+}
+
+// pass consults the policy once over the pending queue. The policy
+// sees a copy-on-write view of the nodes and records its tentative
+// placements on the free index through a journal that is rolled back
+// before the placements return, so the authoritative state is
+// untouched until commit.
+func (e *engine) pass() ([]Placement, error) {
+	if len(e.view) != len(e.nodes) {
+		e.view = make([]*NodeView, len(e.nodes))
+		e.owned = make([]bool, len(e.nodes))
+	}
+	copy(e.view, e.nodes)
+	clear(e.owned)
+	e.idx.begin()
+	ctx := &SchedContext{Now: e.now, Queue: append([]Job(nil), e.pending...), Nodes: e.view, Est: e.est, Model: e.iv, avoid: e.avoid, idx: e.idx, owned: e.owned}
+	placements, err := e.policy.Schedule(ctx)
+	e.idx.rollback()
+	return placements, err
+}
+
+// commit validates and applies one pass's placements in order, then
+// re-rates every resident under the interference model.
+func (e *engine) commit(placements []Placement) error {
+	name := e.policy.Name()
+	for _, pl := range placements {
+		if pl.JobID < 0 || pl.JobID >= len(e.states) || e.states[pl.JobID] == nil || !e.states[pl.JobID].queued {
+			return fmt.Errorf("cluster: policy %s placed unknown or non-queued job %d", name, pl.JobID)
+		}
+		if pl.Node < 0 || pl.Node >= len(e.nodes) {
+			return fmt.Errorf("cluster: policy %s placed job %d on unknown node %d", name, pl.JobID, pl.Node)
+		}
+		st, n := e.states[pl.JobID], e.nodes[pl.Node]
+		ranks := st.job.Workflow.Ranks
+		if n.Down {
+			return fmt.Errorf("cluster: policy %s placed job %d on failed node %d", name, pl.JobID, pl.Node)
+		}
+		if n.FreeAt(e.now) < ranks {
+			return fmt.Errorf("cluster: policy %s overcommitted node %d with job %d (%d ranks, %d cores free)",
+				name, pl.Node, pl.JobID, ranks, n.FreeAt(e.now))
+		}
+		dram := jobDRAMBytes(st.job)
+		if dram > 0 && n.DRAMBytes > 0 && n.DRAMFreeAt(e.now) < dram {
+			return fmt.Errorf("cluster: policy %s overcommitted node %d DRAM with job %d (%g bytes demanded, %g free)",
+				name, pl.Node, pl.JobID, dram, n.DRAMFreeAt(e.now))
+		}
+		dur, err := estimateJob(e.est, st.job, pl.Config)
+		if err != nil {
+			return fmt.Errorf("cluster: executing job %d (%s): %w", pl.JobID, st.job.Workflow.Name, err)
+		}
+		remaining := dur - st.credit // checkpoint credit resumes mid-job
+		if remaining < 0 {
+			remaining = 0
+		}
+		st.queued = false
+		st.started = true
+		st.attempts++
+		st.node = pl.Node
+		st.cfg = pl.Config.Label()
+		st.start = e.now
+		st.duration = dur
+		st.end = e.now + remaining
+		if e.avoid != nil {
+			e.avoid[pl.JobID] = -1
+		}
+		if e.iv.Enabled {
+			prof, err := profileJob(e.est, st.job, pl.Config)
+			if err != nil {
+				return fmt.Errorf("cluster: profiling job %d (%s): %w", pl.JobID, st.job.Workflow.Name, err)
+			}
+			st.profile = prof
+			st.progress = st.credit
+			st.lastAt = e.now
+			// rate stays 0: the reflow below rates the newcomer and
+			// posts its first completion event.
+			n.place(st.job.ID, ranks, st.end, dram, prof)
+		} else {
+			n.place(st.job.ID, ranks, st.end, dram, JobProfile{})
+			e.events.add(event{at: st.end, kind: evComplete, job: st.job.ID, epoch: st.epoch})
+		}
+		if e.onCommit != nil {
+			e.onCommit(st, pl)
+		}
+		if remaining > 0 {
+			e.idx.place(pl.Node, ranks)
+			e.occ[pl.Node] += ranks
+		}
+		e.pending = removeJob(e.pending, st.job.ID)
+	}
+	if e.iv.Enabled && len(placements) > 0 {
+		// Newcomers changed residency: re-rate everyone again.
+		e.reflow()
+	}
+	return nil
+}
+
+// retire applies one popped event at the engine's clock and reports
+// whether it changed anything (a stale completion changes nothing).
+func (e *engine) retire(ev event) (bool, error) {
+	switch ev.kind {
+	case evArrive:
+		e.admit(e.states[ev.job])
+	case evComplete:
+		st := e.states[ev.job]
+		if st == nil || st.done || ev.epoch != st.epoch {
+			return false, nil // superseded by a reflow re-post or a kill
+		}
+		st.done = true
+		st.end = e.now
+		if !e.nodes[st.node].remove(st.job.ID) {
+			return false, fmt.Errorf("cluster: engine accounting: completion of job %d found no resident on node %d", st.job.ID, st.node)
+		}
+		if st.end > st.start { // zero-remaining placements never occupied cores
+			e.idx.remove(st.node, st.job.Workflow.Ranks)
+			e.occ[st.node] -= st.job.Workflow.Ranks
+		}
+		e.finish(st)
+	case evNodeDown:
+		n := e.nodes[ev.job]
+		n.Down = true
+		n.UpSeconds = e.faults.repairAt(ev.job, e.now)
+		e.events.add(event{at: n.UpSeconds, kind: evNodeUp, job: ev.job})
+		for _, r := range n.Running {
+			if st := e.states[r.JobID]; e.kill(st) {
+				e.finish(st)
+			}
+		}
+		n.Running = n.Running[:0]
+		e.idx.down(ev.job)
+		e.occ[ev.job] = n.Cores // a down node meters as fully busy (FreeAt reports 0 free)
+	case evNodeUp:
+		n := e.nodes[ev.job]
+		n.Down = false
+		n.UpSeconds = 0
+		if at, ok := e.faults.nextDown(ev.job, e.now); ok {
+			e.events.add(event{at: at, kind: evNodeDown, job: ev.job})
+		}
+		e.idx.up(ev.job)
+		e.occ[ev.job] = 0
+	}
+	return true, nil
+}
+
+// finish counts a completed or permanently failed job. A summary-only
+// run folds it into the aggregates and releases its state.
+func (e *engine) finish(st *jobState) {
+	e.finished++
+	if e.m != nil && e.m.summaryOnly {
+		e.m.record(st)
+		e.states[st.job.ID] = nil
+	}
+}
+
+// simulate is the batch driver behind Simulate and SimulateStream: it
+// stages arrivals from the source one at a time and runs the engine
+// until every job has completed or permanently failed.
+func simulate(src jobSource, opt Options, cores int) (*Metrics, error) {
+	e := newEngine(opt.Nodes, cores, opt.DRAMBytesPerNode, opt.Policy, opt.Estimator, opt.Interference)
+	e.retry = opt.retry()
 	srcDone := false
 	pull := func() error {
 		j, ok, err := src.next()
@@ -287,139 +487,58 @@ func simulate(src jobSource, opt Options, cores int) (*Metrics, error) {
 			srcDone = true
 			return nil
 		}
-		if j.ID != len(states) {
-			return fmt.Errorf("cluster: trace job at position %d has ID %d (IDs must equal trace positions)", len(states), j.ID)
+		if j.ID != len(e.states) {
+			return fmt.Errorf("cluster: trace job at position %d has ID %d (IDs must equal trace positions)", len(e.states), j.ID)
 		}
-		states = append(states, &jobState{job: j, node: -1})
+		e.states = append(e.states, &jobState{job: j, node: -1})
 		if opt.Faults.Enabled {
-			avoid = append(avoid, -1)
+			e.avoid = append(e.avoid, -1)
 		}
-		events.add(event{at: j.ArrivalSeconds, kind: evArrive, job: j.ID})
+		e.events.add(event{at: j.ArrivalSeconds, kind: evArrive, job: j.ID})
 		return nil
 	}
 	if err := pull(); err != nil {
 		return nil, err
 	}
-	if srcDone && len(states) == 0 {
+	if srcDone && len(e.states) == 0 {
 		return nil, fmt.Errorf("cluster: empty trace")
 	}
-
-	var faults *faultDriver
 	if opt.Faults.Enabled {
 		var err error
-		if faults, err = newFaultDriver(opt.Faults, opt.Nodes); err != nil {
+		if e.faults, err = newFaultDriver(opt.Faults, opt.Nodes); err != nil {
 			return nil, err
 		}
-		faults.start(opt.Nodes, &events)
+		e.faults.start(opt.Nodes, &e.events)
 	}
 
-	m := newMetrics(opt.Policy.Name(), opt.Nodes, cores, opt.SlowdownBoundSeconds, iv.Enabled, opt.Faults.Enabled, fleet)
-	incremental := iv.Enabled && fleet.IncrementalReflow
-	var dirty dirtyNodes
-	if incremental {
-		dirty.mask = make([]uint8, opt.Nodes)
-	}
-	// Reusable copy-on-write snapshot scratch for the indexed path.
-	var view []*NodeView
-	var owned []bool
-	if idx != nil {
-		view = make([]*NodeView, opt.Nodes)
-		owned = make([]bool, opt.Nodes)
-	}
-
-	var pending []Job
-	prev := 0.0
-	finished := 0 // completed or permanently failed jobs
+	m := newMetrics(opt.Policy.Name(), opt.Nodes, cores, opt.SlowdownBoundSeconds, e.iv.Enabled, opt.Faults.Enabled, opt.Fleet)
+	e.m = m
 	for {
-		head, ok := events.peek()
+		head, ok := e.events.peek()
 		if !ok {
 			break
 		}
-		now := head.at
-		if opt.LinearScan {
-			m.integrate(nodes, prev, now)
-		} else {
-			m.integrateOcc(occ, prev, now)
-		}
-		prev = now
+		m.integrateOcc(e.occ, e.now, head.at)
+		e.now = head.at
 		live := false
 		for {
-			e, ok := events.peek()
-			if !ok || e.at != now {
+			ev, ok := e.events.peek()
+			if !ok || ev.at != e.now {
 				break
 			}
-			e = events.next()
+			ev = e.events.next()
 			m.Events++
-			switch e.kind {
-			case evArrive:
-				st := states[e.job]
-				pending = append(pending, st.job)
-				// A fresh arrival (not a fault retry) consumed the staged
-				// job; stage the next one from the source.
-				if !srcDone && e.job == len(states)-1 && st.attempts == 0 {
-					if err := pull(); err != nil {
-						return nil, err
-					}
+			changed, err := e.retire(ev)
+			if err != nil {
+				return nil, err
+			}
+			live = live || changed
+			// A fresh arrival (not a fault retry) consumed the staged job;
+			// stage the next one from the source.
+			if ev.kind == evArrive && !srcDone && ev.job == len(e.states)-1 && e.states[ev.job].attempts == 0 {
+				if err := pull(); err != nil {
+					return nil, err
 				}
-				live = true
-			case evComplete:
-				st := states[e.job]
-				if st == nil || st.done || e.epoch != st.epoch {
-					continue // superseded by a reflow re-post or a kill
-				}
-				st.done = true
-				st.end = now
-				if !nodes[st.node].remove(st.job.ID) {
-					return nil, fmt.Errorf("cluster: engine accounting: completion of job %d found no resident on node %d", st.job.ID, st.node)
-				}
-				if st.end > st.start { // zero-remaining placements never occupied cores
-					if idx != nil {
-						idx.remove(st.node, st.job.Workflow.Ranks)
-					}
-					occ[st.node] -= st.job.Workflow.Ranks
-				}
-				if incremental {
-					dirty.mark(st.node, st.profile.DeviceSocket)
-				}
-				finished++
-				live = true
-				if fleet.SummaryOnly {
-					m.record(st)
-					states[e.job] = nil // aggregated; release the state
-				}
-			case evNodeDown:
-				n := nodes[e.job]
-				n.Down = true
-				n.UpSeconds = faults.repairAt(e.job, now)
-				events.add(event{at: n.UpSeconds, kind: evNodeUp, job: e.job})
-				for _, r := range n.Running {
-					st := states[r.JobID]
-					if kill(st, retry, iv, now, avoid, &events) {
-						finished++
-						if fleet.SummaryOnly {
-							m.record(st)
-							states[r.JobID] = nil
-						}
-					}
-				}
-				n.Running = n.Running[:0]
-				if idx != nil {
-					idx.down(e.job)
-				}
-				occ[e.job] = n.Cores // a down node meters as fully busy (FreeAt reports 0 free)
-				live = true
-			case evNodeUp:
-				n := nodes[e.job]
-				n.Down = false
-				n.UpSeconds = 0
-				if at, ok := faults.nextDown(e.job, now); ok {
-					events.add(event{at: at, kind: evNodeDown, job: e.job})
-				}
-				if idx != nil {
-					idx.up(e.job)
-				}
-				occ[e.job] = 0
-				live = true
 			}
 		}
 		if !live {
@@ -427,113 +546,21 @@ func simulate(src jobSource, opt Options, cores int) (*Metrics, error) {
 			// change, so there is nothing to schedule or sample.
 			continue
 		}
-		if iv.Enabled {
+		if e.iv.Enabled {
 			// Completions changed residency: advance progress to now and
 			// re-rate the survivors before the policy reads EndSeconds.
-			if incremental {
-				reflowDirty(now, nodes, states, &events, iv, &dirty)
-			} else {
-				reflow(now, nodes, states, &events, iv)
-			}
+			e.reflow()
 		}
 		m.Passes++
-
-		var ctx *SchedContext
-		if idx != nil {
-			copy(view, nodes)
-			for i := range owned {
-				owned[i] = false
-			}
-			idx.begin()
-			ctx = &SchedContext{Now: now, Queue: append([]Job(nil), pending...), Nodes: view, Est: opt.Estimator, Model: iv, avoid: avoid, idx: idx, owned: owned}
-		} else {
-			ctx = &SchedContext{Now: now, Queue: append([]Job(nil), pending...), Nodes: snapshot(nodes), Est: opt.Estimator, Model: iv, avoid: avoid}
-		}
-		placements, err := opt.Policy.Schedule(ctx)
-		if idx != nil {
-			idx.rollback()
-		}
+		placements, err := e.pass()
 		if err != nil {
 			return nil, err
 		}
-		for _, pl := range placements {
-			if pl.JobID < 0 || pl.JobID >= len(states) || states[pl.JobID] == nil || states[pl.JobID].started {
-				return nil, fmt.Errorf("cluster: policy %s placed unknown or already-started job %d", opt.Policy.Name(), pl.JobID)
-			}
-			if pl.Node < 0 || pl.Node >= len(nodes) {
-				return nil, fmt.Errorf("cluster: policy %s placed job %d on unknown node %d", opt.Policy.Name(), pl.JobID, pl.Node)
-			}
-			st := states[pl.JobID]
-			if nodes[pl.Node].Down {
-				return nil, fmt.Errorf("cluster: policy %s placed job %d on failed node %d", opt.Policy.Name(), pl.JobID, pl.Node)
-			}
-			if nodes[pl.Node].FreeAt(now) < st.job.Workflow.Ranks {
-				return nil, fmt.Errorf("cluster: policy %s overcommitted node %d with job %d (%d ranks, %d cores free)",
-					opt.Policy.Name(), pl.Node, pl.JobID, st.job.Workflow.Ranks, nodes[pl.Node].FreeAt(now))
-			}
-			dram := jobDRAMBytes(st.job)
-			if dram > 0 && nodes[pl.Node].DRAMBytes > 0 && nodes[pl.Node].DRAMFreeAt(now) < dram {
-				return nil, fmt.Errorf("cluster: policy %s overcommitted node %d DRAM with job %d (%g bytes demanded, %g free)",
-					opt.Policy.Name(), pl.Node, pl.JobID, dram, nodes[pl.Node].DRAMFreeAt(now))
-			}
-			dur, err := estimateJob(opt.Estimator, st.job, pl.Config)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: executing job %d (%s): %w", pl.JobID, st.job.Workflow.Name, err)
-			}
-			remaining := dur - st.credit // checkpoint credit resumes mid-job
-			if remaining < 0 {
-				remaining = 0
-			}
-			st.started = true
-			st.attempts++
-			st.node = pl.Node
-			st.cfg = pl.Config.Label()
-			st.start = now
-			st.duration = dur
-			st.end = now + remaining
-			if avoid != nil {
-				avoid[pl.JobID] = -1
-			}
-			if iv.Enabled {
-				prof, err := profileJob(opt.Estimator, st.job, pl.Config)
-				if err != nil {
-					return nil, fmt.Errorf("cluster: profiling job %d (%s): %w", pl.JobID, st.job.Workflow.Name, err)
-				}
-				st.profile = prof
-				st.progress = st.credit
-				st.lastAt = now
-				// rate stays 0: the reflow below rates the newcomer and
-				// posts its first completion event.
-				nodes[pl.Node].place(st.job.ID, st.job.Workflow.Ranks, st.end, dram, prof)
-				if incremental {
-					dirty.mark(pl.Node, prof.DeviceSocket)
-				}
-			} else {
-				nodes[pl.Node].place(st.job.ID, st.job.Workflow.Ranks, st.end, dram, JobProfile{})
-				events.add(event{at: st.end, kind: evComplete, job: st.job.ID, epoch: st.epoch})
-			}
-			if remaining > 0 {
-				if idx != nil {
-					idx.place(pl.Node, st.job.Workflow.Ranks)
-				}
-				occ[pl.Node] += st.job.Workflow.Ranks
-			}
-			pending = removeJob(pending, st.job.ID)
+		if err := e.commit(placements); err != nil {
+			return nil, err
 		}
-		if iv.Enabled && len(placements) > 0 {
-			// Newcomers changed residency: re-rate everyone again.
-			if incremental {
-				reflowDirty(now, nodes, states, &events, iv, &dirty)
-			} else {
-				reflow(now, nodes, states, &events, iv)
-			}
-		}
-		if opt.LinearScan {
-			m.sample(now, nodes)
-		} else {
-			m.sampleOcc(now, occ)
-		}
-		if srcDone && finished == len(states) {
+		m.sampleOcc(e.now, e.occ)
+		if srcDone && e.finished == len(e.states) {
 			// Every job has completed or permanently failed. Leaving now
 			// (instead of draining the heap) is what terminates a random
 			// failure schedule, whose node events would otherwise repost
@@ -543,11 +570,11 @@ func simulate(src jobSource, opt Options, cores int) (*Metrics, error) {
 		}
 	}
 
-	if len(pending) > 0 {
-		return nil, fmt.Errorf("cluster: policy %s stalled with %d jobs queued and the cluster idle", opt.Policy.Name(), len(pending))
+	if len(e.pending) > 0 {
+		return nil, fmt.Errorf("cluster: policy %s stalled with %d jobs queued and the cluster idle", opt.Policy.Name(), len(e.pending))
 	}
-	if !fleet.SummaryOnly {
-		for _, st := range states {
+	if !m.summaryOnly {
+		for _, st := range e.states {
 			m.record(st)
 		}
 	}
@@ -562,20 +589,20 @@ func simulate(src jobSource, opt Options, cores int) (*Metrics, error) {
 // old one, now stale, is skipped when it pops). Rates are pure
 // functions of the deterministic residency sets, so reflow preserves
 // the engine's bit-for-bit reproducibility.
-func reflow(now float64, nodes []*NodeView, states []*jobState, events *eventHeap, iv Interference) {
-	for _, n := range nodes {
+func (e *engine) reflow() {
+	for _, n := range e.nodes {
 		for i := range n.Running {
-			st := states[n.Running[i].JobID]
+			st := e.states[n.Running[i].JobID]
 			if st.rate > 0 {
-				st.progress += (now - st.lastAt) * st.rate
+				st.progress += (e.now - st.lastAt) * st.rate
 			}
-			st.lastAt = now
+			st.lastAt = e.now
 		}
 	}
-	for _, n := range nodes {
-		rates := n.socketRates(iv)
+	for _, n := range e.nodes {
+		rates := n.socketRates(e.iv)
 		for i := range n.Running {
-			st := states[n.Running[i].JobID]
+			st := e.states[n.Running[i].JobID]
 			rate := rates(st.profile)
 			if rate == st.rate {
 				continue
@@ -585,55 +612,12 @@ func reflow(now float64, nodes []*NodeView, states []*jobState, events *eventHea
 			if remaining < 0 {
 				remaining = 0
 			}
-			st.end = now + remaining/rate
+			st.end = e.now + remaining/rate
 			st.epoch++
 			n.Running[i].EndSeconds = st.end
-			events.add(event{at: st.end, kind: evComplete, job: st.job.ID, epoch: st.epoch})
+			e.events.add(event{at: st.end, kind: evComplete, job: st.job.ID, epoch: st.epoch})
 		}
 	}
-}
-
-// reflowDirty is the socket-local incremental reflow (Options.Fleet):
-// only nodes whose residency changed since the last reflow are
-// touched, and on each only the residents streaming through a changed
-// socket — demand on one socket never moves rates on the other, and a
-// node nothing happened on cannot have changed at all. Progress
-// integrates lazily (one multiply per rate change instead of one per
-// cluster event), which is why this mode is opt-in: the telescoped
-// sums agree with the full reflow only up to floating-point
-// association, so byte-level goldens pin the full path.
-func reflowDirty(now float64, nodes []*NodeView, states []*jobState, events *eventHeap, iv Interference, d *dirtyNodes) {
-	sort.Ints(d.list) // deterministic node order regardless of mark order
-	for _, id := range d.list {
-		n := nodes[id]
-		mask := d.mask[id]
-		d.mask[id] = 0
-		rates := n.socketRates(iv)
-		for i := range n.Running {
-			st := states[n.Running[i].JobID]
-			if mask&(1<<uint(st.profile.DeviceSocket&1)) == 0 {
-				continue // the job's socket saw no demand change
-			}
-			if st.rate > 0 {
-				st.progress += (now - st.lastAt) * st.rate
-			}
-			st.lastAt = now
-			rate := rates(st.profile)
-			if rate == st.rate {
-				continue
-			}
-			st.rate = rate
-			remaining := st.duration - st.progress
-			if remaining < 0 {
-				remaining = 0
-			}
-			st.end = now + remaining/rate
-			st.epoch++
-			n.Running[i].EndSeconds = st.end
-			events.add(event{at: st.end, kind: evComplete, job: st.job.ID, epoch: st.epoch})
-		}
-	}
-	d.list = d.list[:0]
 }
 
 // kill handles one resident job on a failing node: integrate its
@@ -648,9 +632,10 @@ func reflowDirty(now float64, nodes []*NodeView, states []*jobState, events *eve
 // noFitSeconds) used to produce a +Inf arrival time, which poisoned
 // every derived metric and made the JSON export fail outright. A job
 // whose requeue time is unrepresentable now fails permanently instead.
-func kill(st *jobState, retry RetryPolicy, iv Interference, now float64, avoid []int, events *eventHeap) bool {
+func (e *engine) kill(st *jobState) bool {
+	now := e.now
 	achieved := st.credit + (now - st.start)
-	if iv.Enabled {
+	if e.iv.Enabled {
 		// Fluid progress is exact: integrate to the failure instant under
 		// the rate that held since the last residency change.
 		if st.rate > 0 {
@@ -662,13 +647,13 @@ func kill(st *jobState, retry RetryPolicy, iv Interference, now float64, avoid [
 	if achieved > st.duration {
 		achieved = st.duration
 	}
-	st.credit = retry.credit(achieved)
+	st.credit = e.retry.credit(achieved)
 	st.wasted += achieved - st.credit
 	st.started = false
 	st.rate = 0
 	st.epoch++ // any queued completion event for this attempt is now stale
-	requeue := now + retry.backoff(st.attempts)
-	if st.attempts >= retry.MaxAttempts || math.IsInf(requeue, 0) || isNoFit(requeue) {
+	requeue := now + e.retry.backoff(st.attempts)
+	if st.attempts >= e.retry.MaxAttempts || math.IsInf(requeue, 0) || isNoFit(requeue) {
 		// Out of attempts — or the next attempt is beyond the
 		// representable horizon: the job fails permanently and its banked
 		// checkpoints never pay off.
@@ -678,22 +663,9 @@ func kill(st *jobState, retry RetryPolicy, iv Interference, now float64, avoid [
 		st.credit = 0
 		return true
 	}
-	avoid[st.job.ID] = st.node
-	events.add(event{at: requeue, kind: evArrive, job: st.job.ID})
+	e.avoid[st.job.ID] = st.node
+	e.events.add(event{at: requeue, kind: evArrive, job: st.job.ID})
 	return false
-}
-
-// snapshot deep-copies the node views so policies can tentatively
-// place jobs without touching the authoritative state — the
-// pre-fleet-engine path, kept for Options.LinearScan A/B runs (the
-// indexed engine hands policies a copy-on-write view instead).
-func snapshot(nodes []*NodeView) []*NodeView {
-	out := make([]*NodeView, len(nodes))
-	for i, n := range nodes {
-		out[i] = &NodeView{ID: n.ID, Cores: n.Cores, DRAMBytes: n.DRAMBytes, Running: append([]RunningJob(nil), n.Running...),
-			Down: n.Down, UpSeconds: n.UpSeconds}
-	}
-	return out
 }
 
 // removeJob drops the job from the pending queue preserving order.

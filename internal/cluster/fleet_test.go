@@ -233,7 +233,7 @@ func TestFreeIndexJournalRollback(t *testing.T) {
 // placement the pass must answer from the snapshot — if the index
 // (wrongly) charged the cores, the 4-rank follower would not co-place
 // with the 4-rank zero-duration job on the 6-core node and the
-// schedule would diverge from the linear scan's.
+// schedule would diverge from the linear-scan oracle's.
 func TestZeroDurationPlacementIndexed(t *testing.T) {
 	z := workloads.GTCReadOnly(4)
 	b := workloads.MiniAMRReadOnly(4)
@@ -248,7 +248,7 @@ func TestZeroDurationPlacementIndexed(t *testing.T) {
 		t.Fatal(err)
 	}
 	linOpt := opt
-	linOpt.LinearScan = true
+	linOpt.Policy = linearOracle{opt.Policy}
 	linRun, err := Simulate(tr, linOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestZeroDurationPlacementIndexed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), l.Bytes()) {
-		t.Fatal("indexed and linear engines diverged on a zero-duration placement")
+		t.Fatal("indexed engine and linear-scan oracle diverged on a zero-duration placement")
 	}
 	if r := recordOf(t, idxRun, 1); r.StartSeconds != 0 {
 		t.Errorf("follower started at %g, want 0 (co-placed with the zero-duration job)", r.StartSeconds)

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -17,19 +16,27 @@ import (
 // Simulate consumes a whole trace and returns a report; a scheduling
 // service instead accumulates state across many requests: nodes
 // register one at a time, jobs are submitted whenever clients show up,
-// and schedules are queried between submissions. State is that store —
-// the same NodeView capacity model, the same pluggable policies, the
-// same memoized Estimator, and the same bucketed free-capacity index
-// (grown in place as nodes register), driven by explicit calls instead
-// of an event heap. The virtual clock only moves through AdvanceTo, so
-// the store stays fully deterministic: an identical call sequence
-// produces identical placements, byte for byte.
+// and schedules are queried between submissions. State is that store,
+// and it runs on the batch simulator's own event loop (engine): the
+// same NodeView capacity model, the same pluggable policies, the same
+// memoized Estimator, the same bucketed free-capacity index (grown in
+// place as nodes register) and the same event heap. Only the driver
+// differs: instead of pulling arrivals from a trace, State takes them
+// from Submit — an arrival the clock has reached joins the pending
+// queue at once, a future one becomes an arrival event — and the clock
+// moves only through AdvanceTo, which steps the engine through every
+// event instant up to the target. The store stays fully deterministic:
+// an identical call sequence produces identical placements, byte for
+// byte.
 //
-// Semantics match the fixed-duration engine (interference and fault
-// models are not modeled here): TestStateMatchesSimulate replays
-// traces through both and demands identical per-job placements. The
-// one deliberate difference is that a queue with no registered nodes
-// waits instead of erroring — a service may see jobs before its fleet.
+// The store runs the fixed-duration model (it enables neither the
+// interference nor the fault model), and TestStateMatchesSimulate
+// replays traces through both drivers and demands identical per-job
+// placements. Three differences are deliberate: an arrival before the
+// clock is clamped to it (a service cannot accept work in the past), a
+// queue with no registered nodes waits instead of erroring (a service
+// may see jobs before its fleet), and each placement records the
+// filter candidates the index held before it was committed.
 
 // stateCandidateCap bounds the per-placement candidate list recorded
 // for the decision API's filter phase; a thousand-node fleet should
@@ -103,54 +110,12 @@ type Step struct {
 	Completed []JobStatus
 }
 
-// stateJob is the store-side record of one submitted job.
-type stateJob struct {
-	job      Job
-	phase    JobPhase
-	node     int
-	cfg      string
-	start    float64
-	end      float64
-	duration float64
-}
-
-// endHeap orders pending completions by (end time, job ID) — the exact
-// order the batch engine's event heap applies completions in.
-type endEntry struct {
-	end float64
-	id  int
-}
-
-type endHeap []endEntry
-
-func (h endHeap) Len() int { return len(h) }
-func (h endHeap) Less(a, b int) bool {
-	if h[a].end != h[b].end {
-		return h[a].end < h[b].end
-	}
-	return h[a].id < h[b].id
-}
-func (h endHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *endHeap) Push(x any)   { *h = append(*h, x.(endEntry)) }
-func (h *endHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-
 // State is the incremental store. It is not safe for concurrent use;
 // the daemon serializes access (one store mutation at a time is also
 // what keeps the decision log reproducible).
 type State struct {
-	policy Policy
-	est    Estimator
-	cores  int
-
-	now     float64
-	nodes   []*NodeView
-	idx     *freeIndex
-	jobs    []*stateJob
-	future  []int // submitted, arrival > now; sorted by (arrival, ID)
-	queue   []Job // arrived, waiting; queue (arrival event) order
-	ends    endHeap
-	done    int
-	running int
+	e    *engine
+	step *Step // the Schedule/AdvanceTo call in progress, for the commit hook
 }
 
 // NewState builds an empty store: no nodes, no jobs, clock at zero.
@@ -165,93 +130,88 @@ func NewState(opt StateOptions) (*State, error) {
 		return nil, fmt.Errorf("cluster: negative cores per socket")
 	}
 	cores := Options{CoresPerSocket: opt.CoresPerSocket}.coresPerSocket()
-	return &State{
-		policy: opt.Policy,
-		est:    opt.Estimator,
-		cores:  cores,
-		idx:    newFreeIndex(0, cores),
-	}, nil
+	s := &State{e: newEngine(0, cores, 0, opt.Policy, opt.Estimator, Interference{})}
+	s.e.onCommit = s.placed
+	return s, nil
 }
 
 // Now returns the store's virtual clock.
-func (s *State) Now() float64 { return s.now }
+func (s *State) Now() float64 { return s.e.now }
 
 // CoresPerSocket returns the per-socket capacity of every node.
-func (s *State) CoresPerSocket() int { return s.cores }
+func (s *State) CoresPerSocket() int { return s.e.cores }
 
 // PolicyName returns the configured policy's name.
-func (s *State) PolicyName() string { return s.policy.Name() }
+func (s *State) PolicyName() string { return s.e.policy.Name() }
 
 // AddNode registers one fresh node and returns its ID. Nodes are
 // homogeneous (the store's CoresPerSocket); they join empty and
 // immediately schedulable.
 func (s *State) AddNode() int {
-	id := s.idx.add()
-	s.nodes = append(s.nodes, &NodeView{ID: id, Cores: s.cores})
-	return id
+	return s.e.addNode()
 }
 
 // Submit registers a job. An arrival before the current clock is
-// clamped to it (an online service cannot accept work in the past);
-// an arrival beyond it parks the job in the future set until AdvanceTo
-// reaches it. The job is validated against the store's node shape.
+// clamped to it (an online service cannot accept work in the past) and
+// joins the queue at once; an arrival beyond it becomes an arrival
+// event that AdvanceTo reaches. The job is validated against the
+// store's node shape.
 func (s *State) Submit(wf workflow.Spec, arrival float64) (int, error) {
+	e := s.e
 	if err := wf.Validate(); err != nil {
 		return 0, err
 	}
-	if wf.Ranks > s.cores {
+	if wf.Ranks > e.cores {
 		return 0, fmt.Errorf("cluster: job %q needs %d ranks but nodes have %d cores per socket",
-			wf.Name, wf.Ranks, s.cores)
+			wf.Name, wf.Ranks, e.cores)
 	}
-	if arrival < s.now {
-		arrival = s.now
+	if arrival < e.now {
+		arrival = e.now
 	}
-	id := len(s.jobs)
-	j := Job{ID: id, Workflow: wf, ArrivalSeconds: arrival}
-	st := &stateJob{job: j, node: -1}
-	s.jobs = append(s.jobs, st)
-	if arrival > s.now {
-		st.phase = JobFuture
-		// IDs grow monotonically, so a binary search by (arrival, ID)
-		// keeps the future set sorted with one insertion.
-		at := sort.Search(len(s.future), func(i int) bool {
-			o := s.jobs[s.future[i]]
-			return o.job.ArrivalSeconds > arrival
-		})
-		s.future = append(s.future, 0)
-		copy(s.future[at+1:], s.future[at:])
-		s.future[at] = id
+	id := len(e.states)
+	st := &jobState{job: Job{ID: id, Workflow: wf, ArrivalSeconds: arrival}, node: -1}
+	e.states = append(e.states, st)
+	if arrival > e.now {
+		e.events.add(event{at: arrival, kind: evArrive, job: id})
 	} else {
-		st.phase = JobQueued
-		s.queue = append(s.queue, j)
+		e.admit(st)
 	}
 	return id, nil
 }
 
 // Job returns the status of a submitted job.
 func (s *State) Job(id int) (JobStatus, bool) {
-	if id < 0 || id >= len(s.jobs) {
+	if id < 0 || id >= len(s.e.states) {
 		return JobStatus{}, false
 	}
-	return s.status(s.jobs[id]), true
+	return s.status(s.e.states[id]), true
 }
 
-func (s *State) status(st *stateJob) JobStatus {
+func (s *State) status(st *jobState) JobStatus {
 	js := JobStatus{
 		ID:             st.job.ID,
 		Name:           st.job.Workflow.Name,
 		Ranks:          st.job.Workflow.Ranks,
-		Phase:          st.phase,
+		Phase:          JobFuture,
 		ArrivalSeconds: st.job.ArrivalSeconds,
 		Node:           st.node,
 		Config:         st.cfg,
 	}
-	if st.phase == JobRunning || st.phase == JobDone {
-		js.StartSeconds = st.start
-		js.EndSeconds = st.end
-		js.DurationSeconds = st.duration
-		js.WaitSeconds = st.start - st.job.ArrivalSeconds
+	switch {
+	case st.queued:
+		js.Phase = JobQueued
+		return js
+	case st.done:
+		js.Phase = JobDone
+	case st.started:
+		js.Phase = JobRunning
+	default:
+		return js
 	}
+	js.StartSeconds = st.start
+	js.EndSeconds = st.end
+	js.DurationSeconds = st.duration
+	js.WaitSeconds = st.start - st.job.ArrivalSeconds
 	return js
 }
 
@@ -263,7 +223,7 @@ func (s *State) Candidates(ranks, limit int) []int {
 		limit = stateCandidateCap
 	}
 	var out []int
-	s.idx.eachFit(ranks, -1, func(id int) bool {
+	s.e.idx.eachFit(ranks, -1, func(id int) bool {
 		out = append(out, id)
 		return len(out) < limit
 	})
@@ -276,7 +236,7 @@ func (s *State) Candidates(ranks, limit int) []int {
 // and returns what changed. With no registered nodes the queue simply
 // waits.
 func (s *State) Schedule() (Step, error) {
-	return s.settle()
+	return s.run(s.e.now)
 }
 
 // ErrInvalidAdvance tags AdvanceTo targets the store must refuse:
@@ -287,181 +247,85 @@ func (s *State) Schedule() (Step, error) {
 var ErrInvalidAdvance = errors.New("invalid advance target")
 
 // AdvanceTo moves the virtual clock to t, applying completions and
-// parked arrivals in event order (completions before arrivals at equal
-// times, ties by job ID — the batch engine's ordering) and consulting
-// the policy after every instant's events.
+// parked arrivals in the engine's event order (completions before
+// arrivals at equal times, ties by job ID) and consulting the policy
+// after every instant's events.
 func (s *State) AdvanceTo(t float64) (Step, error) {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return Step{}, fmt.Errorf("cluster: %w: non-finite time %g", ErrInvalidAdvance, t)
 	}
-	if t < s.now {
-		return Step{}, fmt.Errorf("cluster: %w: cannot advance the clock backwards (now %g, asked %g)", ErrInvalidAdvance, s.now, t)
+	if t < s.e.now {
+		return Step{}, fmt.Errorf("cluster: %w: cannot advance the clock backwards (now %g, asked %g)", ErrInvalidAdvance, s.e.now, t)
 	}
-	acc, err := s.settle()
-	if err != nil {
-		return acc, err
+	step, err := s.run(t)
+	if err == nil {
+		s.e.now = t
 	}
+	return step, err
+}
+
+// run drives the engine up to t: a pass at the current instant, then
+// for each event instant up to t its events and another pass. A
+// zero-duration placement posts its completion at the current instant,
+// so the loop picks it up as that instant's next round, exactly as the
+// batch driver does.
+func (s *State) run(t float64) (Step, error) {
+	var step Step
+	s.step = &step
+	defer func() { s.step = nil }()
+	e := s.e
 	for {
-		next, ok := s.nextEvent()
-		if !ok || next > t {
-			break
+		if err := s.pass(); err != nil {
+			return step, err
 		}
-		s.now = next
-		step, err := s.settle()
-		acc.Placed = append(acc.Placed, step.Placed...)
-		acc.Completed = append(acc.Completed, step.Completed...)
-		if err != nil {
-			return acc, err
+		head, ok := e.events.peek()
+		if !ok || head.at > t {
+			return step, nil
 		}
-	}
-	s.now = t
-	return acc, nil
-}
-
-// nextEvent returns the earliest pending event time: the next
-// completion or the next parked arrival.
-func (s *State) nextEvent() (float64, bool) {
-	at, ok := 0.0, false
-	if len(s.ends) > 0 {
-		at, ok = s.ends[0].end, true
-	}
-	if len(s.future) > 0 {
-		if a := s.jobs[s.future[0]].job.ArrivalSeconds; !ok || a < at {
-			at, ok = a, true
-		}
-	}
-	return at, ok
-}
-
-// settle drains everything due at the current instant: retire
-// completions, admit arrivals, run a policy pass, and repeat until an
-// iteration changes nothing (a zero-duration placement completes at
-// the same instant and triggers another pass, as in the engine).
-func (s *State) settle() (Step, error) {
-	var acc Step
-	for {
-		completed := s.retireDue()
-		arrived := s.admitDue()
-		placed, err := s.pass()
-		acc.Completed = append(acc.Completed, completed...)
-		acc.Placed = append(acc.Placed, placed...)
-		if err != nil {
-			return acc, err
-		}
-		if len(completed) == 0 && arrived == 0 && len(placed) == 0 {
-			return acc, nil
+		e.now = head.at
+		for {
+			ev, ok := e.events.peek()
+			if !ok || ev.at != e.now {
+				break
+			}
+			ev = e.events.next()
+			changed, err := e.retire(ev)
+			if err != nil {
+				return step, err
+			}
+			if changed && ev.kind == evComplete {
+				step.Completed = append(step.Completed, s.status(e.states[ev.job]))
+			}
 		}
 	}
 }
 
-// retireDue completes every running job whose end time has been
-// reached, in (end, ID) order.
-func (s *State) retireDue() []JobStatus {
-	var out []JobStatus
-	for len(s.ends) > 0 && s.ends[0].end <= s.now {
-		e := heap.Pop(&s.ends).(endEntry)
-		st := s.jobs[e.id]
-		st.phase = JobDone
-		s.nodes[st.node].remove(e.id)
-		if st.end > st.start { // zero-duration placements never occupied cores
-			s.idx.remove(st.node, st.job.Workflow.Ranks)
-		}
-		s.running--
-		s.done++
-		out = append(out, s.status(st))
+// pass runs one policy pass and commits it, unless nothing waits or no
+// node is registered yet (the queue then simply waits).
+func (s *State) pass() error {
+	if len(s.e.pending) == 0 || len(s.e.nodes) == 0 {
+		return nil
 	}
-	return out
-}
-
-// admitDue moves parked future jobs whose arrival has been reached
-// into the queue, in (arrival, ID) order, and reports how many moved.
-func (s *State) admitDue() int {
-	n := 0
-	for len(s.future) > 0 {
-		st := s.jobs[s.future[0]]
-		if st.job.ArrivalSeconds > s.now {
-			break
-		}
-		st.phase = JobQueued
-		s.queue = append(s.queue, st.job)
-		s.future = s.future[1:]
-		n++
-	}
-	return n
-}
-
-// pass consults the policy once over the current queue and commits the
-// returned placements, mirroring the engine's indexed scheduling pass:
-// copy-on-write node views, journaled index updates rolled back after
-// the policy returns, then committed placements re-applied to the
-// authoritative state.
-func (s *State) pass() ([]Placed, error) {
-	if len(s.queue) == 0 || len(s.nodes) == 0 {
-		return nil, nil
-	}
-	view := make([]*NodeView, len(s.nodes))
-	copy(view, s.nodes)
-	owned := make([]bool, len(s.nodes))
-	s.idx.begin()
-	ctx := &SchedContext{
-		Now:   s.now,
-		Queue: append([]Job(nil), s.queue...),
-		Nodes: view,
-		Est:   s.est,
-		idx:   s.idx,
-		owned: owned,
-	}
-	placements, err := s.policy.Schedule(ctx)
-	s.idx.rollback()
+	placements, err := s.e.pass()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var placed []Placed
-	for _, pl := range placements {
-		if pl.JobID < 0 || pl.JobID >= len(s.jobs) || s.jobs[pl.JobID].phase != JobQueued {
-			return placed, fmt.Errorf("cluster: policy %s placed unknown or non-queued job %d", s.policy.Name(), pl.JobID)
-		}
-		if pl.Node < 0 || pl.Node >= len(s.nodes) {
-			return placed, fmt.Errorf("cluster: policy %s placed job %d on unknown node %d", s.policy.Name(), pl.JobID, pl.Node)
-		}
-		st := s.jobs[pl.JobID]
-		ranks := st.job.Workflow.Ranks
-		if s.nodes[pl.Node].FreeAt(s.now) < ranks {
-			return placed, fmt.Errorf("cluster: policy %s overcommitted node %d with job %d (%d ranks, %d cores free)",
-				s.policy.Name(), pl.Node, pl.JobID, ranks, s.nodes[pl.Node].FreeAt(s.now))
-		}
-		// The candidate list is read against the pre-commit index — the
-		// filter input of this pass, before this placement consumes
-		// capacity.
-		cands := s.Candidates(ranks, stateCandidateCap)
-		dur, err := estimateJob(s.est, st.job, pl.Config)
-		if err != nil {
-			return placed, fmt.Errorf("cluster: executing job %d (%s): %w", pl.JobID, st.job.Workflow.Name, err)
-		}
-		st.phase = JobRunning
-		st.node = pl.Node
-		st.cfg = pl.Config.Label()
-		st.start = s.now
-		st.duration = dur
-		st.end = s.now + dur
-		s.nodes[pl.Node].place(st.job.ID, ranks, st.end, jobDRAMBytes(st.job), JobProfile{})
-		if dur > 0 {
-			s.idx.place(pl.Node, ranks)
-		}
-		heap.Push(&s.ends, endEntry{end: st.end, id: st.job.ID})
-		s.running++
-		s.queue = removeJob(s.queue, st.job.ID)
-		placed = append(placed, Placed{
-			JobID:           pl.JobID,
-			Node:            pl.Node,
-			Config:          pl.Config,
-			StartSeconds:    st.start,
-			EndSeconds:      st.end,
-			DurationSeconds: dur,
-			Candidates:      cands,
-		})
-	}
-	return placed, nil
+	return s.e.commit(placements)
+}
+
+// placed is the engine's commit hook: it records the placement with
+// its filter evidence, read from the index before the placement
+// consumes capacity.
+func (s *State) placed(st *jobState, pl Placement) {
+	s.step.Placed = append(s.step.Placed, Placed{
+		JobID:           pl.JobID,
+		Node:            pl.Node,
+		Config:          pl.Config,
+		StartSeconds:    st.start,
+		EndSeconds:      st.end,
+		DurationSeconds: st.duration,
+		Candidates:      s.Candidates(st.job.Workflow.Ranks, stateCandidateCap),
+	})
 }
 
 // NodeSnapshot is one node's state in a Snapshot.
@@ -499,21 +363,33 @@ type Snapshot struct {
 // nothing with the store, so the daemon can serialize it after
 // releasing its lock.
 func (s *State) Snapshot() Snapshot {
+	e := s.e
 	snap := Snapshot{
-		NowSeconds:     s.now,
-		Policy:         s.policy.Name(),
-		CoresPerSocket: s.cores,
-		Submitted:      len(s.jobs),
-		Running:        s.running,
-		Completed:      s.done,
-		Queue:          make([]int, 0, len(s.queue)),
-		Future:         append([]int(nil), s.future...),
+		NowSeconds:     e.now,
+		Policy:         e.policy.Name(),
+		CoresPerSocket: e.cores,
+		Submitted:      len(e.states),
+		Completed:      e.finished,
+		Queue:          make([]int, 0, len(e.pending)),
 	}
-	for _, j := range s.queue {
+	for _, j := range e.pending {
 		snap.Queue = append(snap.Queue, j.ID)
 	}
-	for _, n := range s.nodes {
-		ns := NodeSnapshot{ID: n.ID, Cores: n.Cores, Free: n.FreeAt(s.now)}
+	// Every parked job is exactly one pending arrival event; the heap's
+	// own order sorts them by (arrival, ID).
+	var future eventHeap
+	for _, ev := range e.events {
+		if ev.kind == evArrive {
+			future = append(future, ev)
+		}
+	}
+	sort.Sort(future)
+	for _, ev := range future {
+		snap.Future = append(snap.Future, ev.job)
+	}
+	for _, n := range e.nodes {
+		ns := NodeSnapshot{ID: n.ID, Cores: n.Cores, Free: n.FreeAt(e.now)}
+		snap.Running += len(n.Running)
 		for _, r := range n.Running {
 			ns.Running = append(ns.Running, NodeJob{JobID: r.JobID, Ranks: r.Ranks, EndSeconds: r.EndSeconds})
 		}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -36,9 +37,9 @@ func (variedEst) Profile(workflow.Spec, core.Config) (JobProfile, error) {
 
 // replayThroughState submits every trace job into a fresh State (as a
 // future arrival) and advances past the horizon, returning the store.
-func replayThroughState(t *testing.T, tr Trace, pol Policy, nodes, cores int) *State {
+func replayThroughState(t *testing.T, tr Trace, pol Policy, est Estimator, nodes, cores int) *State {
 	t.Helper()
-	st, err := NewState(StateOptions{Policy: pol, Estimator: variedEst{}, CoresPerSocket: cores})
+	st, err := NewState(StateOptions{Policy: pol, Estimator: est, CoresPerSocket: cores})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,31 +59,52 @@ func replayThroughState(t *testing.T, tr Trace, pol Policy, nodes, cores int) *S
 
 // TestStateMatchesSimulate: replaying a trace through the incremental
 // store must reproduce the batch engine's placements exactly — same
-// node, configuration, start and end per job, for every policy.
+// node, configuration, start and end per job, for every policy — on
+// the bundled suite trace and on every seed of the property suite's
+// random traces.
 func TestStateMatchesSimulate(t *testing.T) {
-	tr, err := SuiteTrace(7, 30)
+	type input struct {
+		label string
+		tr    Trace
+		est   Estimator
+		pols  []Policy
+		cores int
+	}
+	suite, err := SuiteTrace(7, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pol := range []Policy{FCFS(core.SLocW), EASY(core.PLocR), PMEMAware()} {
-		m, err := Simulate(tr, Options{Nodes: 2, CoresPerSocket: 28, Policy: pol, Estimator: variedEst{}})
+	inputs := []input{{"suite", suite, variedEst{}, []Policy{FCFS(core.SLocW), EASY(core.PLocR), PMEMAware()}, 28}}
+	catalog, est := propertyCatalog()
+	for seed := int64(0); seed < 50; seed++ {
+		tr, err := Synthetic(catalog, SyntheticConfig{Jobs: 12, MeanInterarrivalSeconds: 15, Seed: seed})
 		if err != nil {
-			t.Fatalf("%s: Simulate: %v", pol.Name(), err)
+			t.Fatal(err)
 		}
-		st := replayThroughState(t, tr, pol, 2, 28)
-		for _, rec := range m.Records {
-			js, ok := st.Job(rec.ID)
-			if !ok {
-				t.Fatalf("%s: state lost job %d", pol.Name(), rec.ID)
+		inputs = append(inputs, input{fmt.Sprintf("seed %d", seed), tr, est, propertyPolicies(), 8})
+	}
+	for _, in := range inputs {
+		for _, pol := range in.pols {
+			label := in.label + ", " + pol.Name()
+			m, err := Simulate(in.tr, Options{Nodes: 2, CoresPerSocket: in.cores, Policy: pol, Estimator: in.est})
+			if err != nil {
+				t.Fatalf("%s: Simulate: %v", label, err)
 			}
-			if js.Phase != JobDone {
-				t.Errorf("%s: job %d phase %s, want done", pol.Name(), rec.ID, js.Phase)
-			}
-			if js.Node != rec.Node || js.Config != rec.Config ||
-				js.StartSeconds != rec.StartSeconds || js.EndSeconds != rec.EndSeconds {
-				t.Errorf("%s: job %d: state (node %d cfg %s start %g end %g) != engine (node %d cfg %s start %g end %g)",
-					pol.Name(), rec.ID, js.Node, js.Config, js.StartSeconds, js.EndSeconds,
-					rec.Node, rec.Config, rec.StartSeconds, rec.EndSeconds)
+			st := replayThroughState(t, in.tr, pol, in.est, 2, in.cores)
+			for _, rec := range m.Records {
+				js, ok := st.Job(rec.ID)
+				if !ok {
+					t.Fatalf("%s: state lost job %d", label, rec.ID)
+				}
+				if js.Phase != JobDone {
+					t.Errorf("%s: job %d phase %s, want done", label, rec.ID, js.Phase)
+				}
+				if js.Node != rec.Node || js.Config != rec.Config ||
+					js.StartSeconds != rec.StartSeconds || js.EndSeconds != rec.EndSeconds {
+					t.Errorf("%s: job %d: state (node %d cfg %s start %g end %g) != engine (node %d cfg %s start %g end %g)",
+						label, rec.ID, js.Node, js.Config, js.StartSeconds, js.EndSeconds,
+						rec.Node, rec.Config, rec.StartSeconds, rec.EndSeconds)
+				}
 			}
 		}
 	}
