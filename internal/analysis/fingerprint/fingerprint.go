@@ -25,8 +25,8 @@ ends in "Key" is treated as a cache-key writer. For each of its
 parameters of (module-local) struct type the analyzer demands that the
 function body reference every exported field of the struct — directly,
 or through a range variable drawn from one of its slice fields. Passing
-the whole struct on to another function counts as delegation and is
-checked at the callee instead. A field that genuinely must not affect
+the whole struct on to another function (or *p, for a pointer
+parameter p) counts as delegation and is checked at the callee instead. A field that genuinely must not affect
 the key can be excluded with //pmemlint:ignore fingerprint <reason> on
 the function declaration's line.`,
 	Run: run,
@@ -160,7 +160,8 @@ func reportMissing(pass *analysis.Pass, fd *ast.FuncDecl, root *types.Var, rootN
 }
 
 // delegated reports whether the parameter is passed whole as an
-// argument to some call — coverage is then the callee's obligation.
+// argument to some call, directly or dereferenced — coverage is then
+// the callee's obligation.
 func delegated(pass *analysis.Pass, body *ast.BlockStmt, obj types.Object) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -169,6 +170,9 @@ func delegated(pass *analysis.Pass, body *ast.BlockStmt, obj types.Object) bool 
 			return !found
 		}
 		for _, arg := range call.Args {
+			if star, ok := arg.(*ast.StarExpr); ok {
+				arg = star.X // *p hands over the whole pointee
+			}
 			if id, ok := arg.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
 				found = true
 			}

@@ -28,6 +28,14 @@ func writeComponentFingerprint(w io.Writer, c wf.Component) {
 	fmt.Fprint(w, "]|")
 }
 
+// optionalKey delegates a pointer parameter by passing its pointee on,
+// which counts exactly like passing a struct value.
+func optionalKey(w io.Writer, s *wf.Spec) {
+	if s != nil {
+		writeSpecFingerprint(w, *s)
+	}
+}
+
 // Deployment has gained a new exported field (Added) that the key
 // functions below were not updated for — the exact drift the analyzer
 // exists to catch.

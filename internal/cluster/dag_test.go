@@ -194,6 +194,9 @@ func TestSimulateDAGTrace(t *testing.T) {
 	if len(m.Records) != 4 {
 		t.Fatalf("%d job records", len(m.Records))
 	}
+	// The class memo prices the DAG once per question and schedules
+	// exactly as asking the estimator every time does.
+	checkMemo(t, "dag trace", tr, Options{Nodes: 2, Policy: PMEMAware(), Estimator: NewEstimator(rt)})
 	de := NewEstimator(rt).(DAGEstimator)
 	cfg, err := de.RecommendDAG(d)
 	if err != nil {

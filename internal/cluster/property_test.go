@@ -62,11 +62,12 @@ func propertyPolicies() []Policy {
 }
 
 // linearOracle is the brute-force reference for the indexed engine: it
-// wraps a policy so every pass sees a private deep copy of the nodes
-// and no free-capacity index, so each fit query takes the linear
-// all-nodes scan and every tentative placement mutates the copy
-// directly (each copied node is marked owned). The index and the
-// copy-on-write view are exact, so a run through the oracle must
+// wraps a policy so every pass sees a private deep copy of the nodes,
+// no free-capacity index and no class table, so each fit query takes
+// the linear all-nodes scan, every tentative placement mutates the
+// copy directly (each copied node is marked owned), and every
+// estimator query goes to the estimator. The index, the copy-on-write
+// view and the class memo are exact, so a run through the oracle must
 // produce the same report bytes as the plain run.
 type linearOracle struct{ Policy }
 
@@ -236,17 +237,12 @@ func TestPropertyRandomTraces(t *testing.T) {
 				}
 
 				// The indexed free-capacity view must be an exact drop-in for
-				// the linear all-nodes scan: rerun through the brute-force
-				// oracle and demand byte-identical reports.
-				linOpt := opt
-				linOpt.Policy = linearOracle{pol}
-				lin, _ := simulateFresh(t, seed, linOpt)
-				var linear bytes.Buffer
-				if err := lin.WriteJSON(&linear); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(first.Bytes(), linear.Bytes()) {
-					t.Fatalf("%s: indexed engine and linear-scan oracle produced different report bytes", label)
+				// the linear all-nodes scan, and the class memo for asking the
+				// estimator every time: rerun with the estimator's calls
+				// counted and through the brute-force oracle, and demand
+				// byte-identical reports.
+				if _, memo := checkMemo(t, label, tr, opt); !bytes.Equal(first.Bytes(), memo) {
+					t.Fatalf("%s: the counted rerun produced different report bytes", label)
 				}
 
 				// Sample dedup trades the series' shape for bounded memory,

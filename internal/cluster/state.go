@@ -169,8 +169,7 @@ func (s *State) Submit(wf workflow.Spec, arrival float64) (int, error) {
 		arrival = e.now
 	}
 	id := len(e.states)
-	st := &jobState{job: Job{ID: id, Workflow: wf, ArrivalSeconds: arrival}, node: -1}
-	e.states = append(e.states, st)
+	st := e.track(Job{ID: id, Workflow: wf, ArrivalSeconds: arrival})
 	if arrival > e.now {
 		e.events.add(event{at: arrival, kind: evArrive, job: id})
 	} else {

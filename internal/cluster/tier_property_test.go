@@ -13,9 +13,10 @@ import (
 // finite DRAM capacity, and the schedule must conserve that capacity
 // the same way it conserves cores — no instant where the resident
 // jobs' DRAM demands exceed a node, no negative migration volumes, and
-// byte-identical reports across fresh reruns and between the indexed
-// engine and the linear-scan oracle (the DRAM fit path bypasses the
-// free index, so their agreement is exactly the invariant under test).
+// byte-identical reports across fresh reruns and between the indexed,
+// memoized engine and the linear-scan, direct-estimator oracle (the
+// DRAM fit path bypasses the free index, so their agreement is exactly
+// the invariant under test).
 
 // tieredCatalog is propertyCatalog with tiers on half the workloads:
 // the streaming micro workload stages through DRAM (write-stage-drain,
@@ -113,7 +114,8 @@ func checkDRAMConservation(t *testing.T, label string, m *Metrics, tr Trace, cap
 // TestPropertyTieredTraces is the tier property sweep: 20 seeds x 4
 // policies x {plain DRAM capacity, tiered interference}, each checked
 // for the structural invariants, DRAM conservation, byte-determinism
-// across fresh reruns, and agreement with the linear-scan oracle.
+// across fresh reruns, price-once estimator calls, and agreement with
+// the linear-scan oracle.
 func TestPropertyTieredTraces(t *testing.T) {
 	capacity := tierNodeDRAM()
 	if capacity <= 0 {
@@ -154,15 +156,8 @@ func TestPropertyTieredTraces(t *testing.T) {
 					t.Fatalf("%s: fresh rerun produced different report bytes", label)
 				}
 
-				linOpt := opt
-				linOpt.Policy = linearOracle{pol}
-				lin, _ := simulateTiered(t, seed, linOpt)
-				var linear bytes.Buffer
-				if err := lin.WriteJSON(&linear); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(first.Bytes(), linear.Bytes()) {
-					t.Fatalf("%s: indexed engine and linear-scan oracle produced different report bytes", label)
+				if _, memo := checkMemo(t, label, tr, opt); !bytes.Equal(first.Bytes(), memo) {
+					t.Fatalf("%s: the counted rerun produced different report bytes", label)
 				}
 			}
 		}

@@ -77,16 +77,20 @@ var Configs = []Config{SLocW, SLocR, PLocW, PLocR}
 
 // Label returns the paper's configuration label, e.g. "S-LocW".
 func (c Config) Label() string {
-	mode := "S"
+	mode, place := 0, 0
 	if c.Mode == Parallel {
-		mode = "P"
+		mode = 1
 	}
-	place := "LocW"
 	if c.Placement == LocR {
-		place = "LocR"
+		place = 1
 	}
-	return mode + "-" + place
+	return configLabels[mode][place]
 }
+
+// configLabels holds the labels by [parallel][local-read]. Returning a
+// constant keeps Label allocation-free; the cluster engine stores one
+// per placed job for the life of the daemon.
+var configLabels = [2][2]string{{"S-LocW", "S-LocR"}, {"P-LocW", "P-LocR"}}
 
 func (c Config) String() string { return c.Label() }
 

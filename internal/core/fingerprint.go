@@ -120,6 +120,19 @@ func dagKey(envKey string, d workflow.DAGSpec, asg DAGAssignment) string {
 	return fmt.Sprintf("d%016x", h.Sum64())
 }
 
+// JobKey returns the 64-bit fingerprint of a job's workload: the spec,
+// followed by the DAG when dag is non-nil. It hashes exactly what the
+// run and classification cache keys hash about a workload, so jobs with
+// equal keys are the same workload to the run engine.
+func JobKey(wf workflow.Spec, dag *workflow.DAGSpec) uint64 {
+	h := fnv.New64a()
+	writeSpecFingerprint(h, wf)
+	if dag != nil {
+		writeDAGSpecFingerprint(h, *dag)
+	}
+	return h.Sum64()
+}
+
 // runKey builds the cache key of one execution.
 func runKey(envKey string, wf workflow.Spec, dep Deployment) string {
 	h := fnv.New64a()

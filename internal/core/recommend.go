@@ -33,9 +33,16 @@ const (
 	lHigh = workflow.LevelHigh
 )
 
+// tableII is the table Recommend matches against, built once. The
+// rows' level slices are shared with every Recommendation.Row it
+// returns, so callers must treat those slices as read-only; TableII
+// hands out a fresh copy instead.
+var tableII = TableII()
+
 // TableII returns the paper's Table II ("Configuration recommendations
 // for Workflows") verbatim: ten rows mapping workflow characteristics
-// to a scheduling configuration.
+// to a scheduling configuration. Each call builds a fresh table the
+// caller may modify.
 func TableII() []RuleRow {
 	return []RuleRow{
 		{1, levels(lNil), levels(lHigh), levels(lNil), levels(lHigh),
@@ -73,7 +80,9 @@ func TableII() []RuleRow {
 
 // Recommendation is the rule engine's output.
 type Recommendation struct {
-	Config   Config
+	Config Config
+	// Row is the matched Table II row. Its level slices are shared
+	// with the recommender's table: read them, never modify them.
 	Row      RuleRow
 	Distance float64 // 0 = exact Table II match
 	Features Features
@@ -89,7 +98,7 @@ type Recommendation struct {
 func Recommend(f Features) (Recommendation, error) {
 	best := Recommendation{Distance: math.Inf(1), Features: f}
 	bestSpecificity := math.Inf(1)
-	for _, row := range TableII() {
+	for _, row := range tableII {
 		if !containsSize(row.ObjectSize, f.ObjectSize) || !containsConc(row.Conc, f.Conc) {
 			continue
 		}
