@@ -5,16 +5,16 @@
 //
 // By default it self-hosts: it builds an in-process daemon on a
 // loopback port and drives it over real HTTP, so one command measures
-// the full serving path (routing, admission, batching, JSON) without
-// needing a separately launched server. Point -addr at a running
-// wfschedd to load-test that instead.
+// the full serving path (routing, admission, the run engine, JSON)
+// without needing a separately launched server. Point -addr at a
+// running wfschedd to load-test that instead.
 //
 // The run has two phases. A warmup issues every distinct request once,
 // filling the decision cache; the timed phase then measures the
 // warm-cache regime — the daemon's steady state, where every request
 // is a cache hit and throughput is bounded by serving overhead, not
 // simulation. The report carries client-side latency percentiles and
-// the daemon's own /metrics counters (cache hit rate, batching shape,
+// the daemon's own /metrics counters (cache hit rate, in-flight joins,
 // shed count).
 //
 // Usage:
@@ -98,12 +98,6 @@ type daemonStats struct {
 		Entries       uint64  `json:"entries"`
 		HitRate       float64 `json:"hit_rate"`
 	} `json:"cache"`
-	Batch struct {
-		Batches  uint64  `json:"batches"`
-		Requests uint64  `json:"requests"`
-		Merged   uint64  `json:"merged"`
-		MeanSize float64 `json:"mean_size"`
-	} `json:"batch"`
 	Admission struct {
 		MaxInflight int    `json:"max_inflight"`
 		Shed        uint64 `json:"shed"`

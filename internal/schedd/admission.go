@@ -2,10 +2,10 @@ package schedd
 
 // gate is the admission controller: a fixed pool of decision slots.
 // A request that cannot take a slot immediately is shed with 429 —
-// queueing admitted work is the batcher's and the runner pool's job;
-// queueing unadmitted work would just grow latency until clients time
-// out anyway (the daemon prefers fast rejection, and the Retry-After
-// header tells clients when to come back).
+// queueing admitted work is the runner pool's job; queueing unadmitted
+// work would just grow latency until clients time out anyway (the
+// daemon prefers fast rejection, and the Retry-After header tells
+// clients when to come back).
 type gate struct {
 	slots chan struct{}
 }

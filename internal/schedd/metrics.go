@@ -7,8 +7,8 @@ import (
 )
 
 // The daemon's metrics: per-endpoint request counts and latency
-// histograms, admission-gate counters, batch shape, and the shared
-// run-engine cache counters. GET /metrics serializes a snapshot as
+// histograms, admission-gate counters, and the shared run-engine cache
+// counters. GET /metrics serializes a snapshot as
 // JSON — counts are monotonic since process start, latencies in
 // milliseconds.
 
@@ -111,10 +111,7 @@ type registry struct {
 	eps   []*endpointMetrics
 	byKey map[string]*endpointMetrics
 
-	shed    atomic.Uint64 // admission rejections (429)
-	batches atomic.Uint64 // recommend micro-batches executed
-	batched atomic.Uint64 // recommend requests that rode a batch
-	merged  atomic.Uint64 // requests deduplicated within a batch
+	shed atomic.Uint64 // admission rejections (429)
 }
 
 func newRegistry() *registry {
@@ -152,13 +149,6 @@ type admissionJSON struct {
 	Shed        uint64 `json:"shed"`
 }
 
-type batchJSON struct {
-	Batches  uint64  `json:"batches"`
-	Requests uint64  `json:"requests"`
-	Merged   uint64  `json:"merged"`
-	MeanSize float64 `json:"mean_size"`
-}
-
 type cacheJSON struct {
 	Hits          uint64  `json:"hits"`
 	Misses        uint64  `json:"misses"`
@@ -170,7 +160,6 @@ type cacheJSON struct {
 type metricsJSON struct {
 	Requests  []endpointJSON `json:"requests"`
 	Admission admissionJSON  `json:"admission"`
-	Batch     batchJSON      `json:"batch"`
 	Cache     cacheJSON      `json:"cache"`
 }
 
@@ -197,11 +186,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	if out.Requests == nil {
 		out.Requests = []endpointJSON{}
-	}
-	batches, batched := s.met.batches.Load(), s.met.batched.Load()
-	out.Batch = batchJSON{Batches: batches, Requests: batched, Merged: s.met.merged.Load()}
-	if batches > 0 {
-		out.Batch.MeanSize = float64(batched) / float64(batches)
 	}
 	st := s.rt.Stats()
 	out.Cache = cacheJSON{

@@ -33,8 +33,8 @@ func (s *Server) AddNodes(n int) []int {
 
 func (s *Server) handleAddNodes(w http.ResponseWriter, r *http.Request) {
 	var req addNodesRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.replyError(w, http.StatusBadRequest, "%v", err)
+	if status, err := decodeJSON(w, r, &req); err != nil {
+		s.replyError(w, status, "%v", err)
 		return
 	}
 	if len(req.Names) > 0 && req.Count != 0 {
@@ -88,8 +88,8 @@ func (s *Server) handleAddNodes(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	var req submitJobRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.replyError(w, http.StatusBadRequest, "%v", err)
+	if status, err := decodeJSON(w, r, &req); err != nil {
+		s.replyError(w, status, "%v", err)
 		return
 	}
 	wf, err := req.resolve()
@@ -149,8 +149,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	var req advanceRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.replyError(w, http.StatusBadRequest, "%v", err)
+	if status, err := decodeJSON(w, r, &req); err != nil {
+		s.replyError(w, status, "%v", err)
 		return
 	}
 	s.storeMu.Lock()

@@ -2,249 +2,63 @@ package schedd
 
 import (
 	"bytes"
+	"context"
 	"net/http"
-	"strings"
-	"sync"
-	"time"
 
 	"pmemsched/internal/core"
 	"pmemsched/internal/workflow"
 )
 
-// The recommend micro-batcher. Handlers do not call the run engine
-// directly: they enqueue work items, and a small pool of collector
-// goroutines gathers items for a batch window (or until the batch
-// fills), deduplicates identical workflows within the batch, and
-// executes the whole batch as one Runner.RunBatch call. Under a
-// burst of identical requests this turns N simulations into one:
-// duplicates inside a batch merge before reaching the engine, and
-// duplicates across concurrent batches coalesce in the runner's
-// singleflight cache (visible as the inflight_joins counter).
+// The recommend handlers call the shared run engine directly: it
+// already memoizes every step by content, coalesces identical
+// in-flight work (the inflight_joins counter) and bounds concurrent
+// executions with its worker pool. What the handlers add is admission
+// and the deadline.
 
-// recommendWork is one enqueued request.
-type recommendWork struct {
-	wf         workflow.Spec
-	key        string
-	includeAll bool
-	resp       chan recommendResult // buffered: delivery never blocks on an abandoned request
-}
-
-// recommendResult is what the batcher hands back: the recommendation,
-// the measured result under the recommended configuration, and (when
-// any request in the group asked) all four configuration results in
-// Table I order.
-type recommendResult struct {
-	rec    core.Recommendation
-	chosen core.Result
-	all    []core.Result
-	err    error
-}
-
-// specKey canonicalizes a workflow for dedup: the spec's JSON encoding
-// is a pure function of its contents, and WriteSpec to an in-memory
-// builder cannot fail on a validated spec.
-func specKey(wf workflow.Spec) string {
-	var b strings.Builder
-	if err := workflow.WriteSpec(&b, wf); err != nil {
-		// Unreachable for specs that passed resolve(); fall back to a
-		// per-name key so dedup degrades rather than panics.
-		return "name:" + wf.Name
+// serveDecision admits the request, runs fn detached from it and
+// answers with the result: 200, 500 on an engine error, or 504 once
+// the request deadline passes first. A decision past its deadline keeps
+// computing and warms the cache for the retry. It keeps its admission
+// slot until it finishes, so requests that give up cannot pile up
+// unbounded work behind the gate; Server.Close waits for it.
+func serveDecision[T any](s *Server, w http.ResponseWriter, r *http.Request, fn func() (T, error)) {
+	if !s.admit(w) {
+		return
 	}
-	return b.String()
-}
-
-type batcher struct {
-	rt     *core.Runner
-	window time.Duration
-	max    int
-	met    *registry
-	ch     chan *recommendWork
-	wg     sync.WaitGroup
-}
-
-func newBatcher(rt *core.Runner, window time.Duration, max, collectors int, met *registry) *batcher {
-	b := &batcher{
-		rt:     rt,
-		window: window,
-		max:    max,
-		met:    met,
-		ch:     make(chan *recommendWork, max*collectors),
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
+	type outcome struct {
+		v   T
+		err error
 	}
-	for i := 0; i < collectors; i++ {
-		b.wg.Add(1)
-		go func() {
-			defer b.wg.Done()
-			b.collect()
-		}()
-	}
-	return b
-}
-
-// close stops the collectors after draining queued work. Callers must
-// guarantee no handler is still enqueuing (drain the HTTP server
-// first); a send on a closed channel would panic.
-func (b *batcher) close() {
-	close(b.ch)
-	b.wg.Wait()
-}
-
-// collect is one collector goroutine: take the first work item,
-// gather a batch, execute, repeat.
-func (b *batcher) collect() {
-	for w := range b.ch {
-		batch := b.gather(w)
-		b.met.batches.Add(1)
-		b.met.batched.Add(uint64(len(batch)))
-		b.execute(batch)
-	}
-}
-
-// gather assembles one batch around the first work item. Everything
-// already queued joins immediately; only a lone request waits out the
-// batch window for company. The batch closes when it fills, when the
-// queue empties with company on board, or when the lone wait expires —
-// a warm request costs microseconds to serve, so holding a non-trivial
-// batch open for the window's sake would cap throughput at
-// batch-size/window. A burst that outruns one batch still merges in
-// the runner: the next batch's duplicates join the first's executions
-// in flight.
-func (b *batcher) gather(first *recommendWork) []*recommendWork {
-	batch := b.drain([]*recommendWork{first})
-	if len(batch) > 1 || b.window <= 0 {
-		return batch
-	}
-	timer := time.NewTimer(b.window)
-	defer timer.Stop()
+	done := make(chan outcome, 1) // buffered: a detached decision never blocks on delivery
+	s.decisions.Add(1)
+	go func() {
+		defer s.decisions.Done()
+		v, err := fn()
+		s.gate.release() // before delivery, so the answered client finds the slot free
+		done <- outcome{v, err}
+	}()
 	select {
-	case more, ok := <-b.ch:
-		if ok {
-			batch = b.drain(append(batch, more))
+	case o := <-done:
+		if o.err != nil {
+			s.replyError(w, http.StatusInternalServerError, "%v", o.err)
+			return
 		}
-	case <-timer.C:
-	}
-	return batch
-}
-
-// drain moves whatever is queued right now into the batch, without
-// waiting, up to the batch cap.
-func (b *batcher) drain(batch []*recommendWork) []*recommendWork {
-	for len(batch) < b.max {
-		select {
-		case more, ok := <-b.ch:
-			if !ok {
-				return batch
-			}
-			batch = append(batch, more)
-		default:
-			return batch
-		}
-	}
-	return batch
-}
-
-// batchGroup is the deduplicated unit of execution: every work item in
-// the batch that named the same workflow.
-type batchGroup struct {
-	wf         workflow.Spec
-	includeAll bool
-	members    []*recommendWork
-	rec        core.Recommendation
-	err        error
-	jobs       []core.Job // this group's slice of the batch job list
-	results    []core.Result
-}
-
-// execute runs one batch: dedup, recommend per unique workflow, one
-// RunBatch over every group's jobs, deliver.
-func (b *batcher) execute(batch []*recommendWork) {
-	var order []*batchGroup
-	byKey := make(map[string]*batchGroup, len(batch))
-	for _, w := range batch {
-		g, ok := byKey[w.key]
-		if !ok {
-			g = &batchGroup{wf: w.wf}
-			byKey[w.key] = g
-			order = append(order, g)
-		}
-		g.includeAll = g.includeAll || w.includeAll
-		g.members = append(g.members, w)
-	}
-	b.met.merged.Add(uint64(len(batch) - len(order)))
-
-	// Recommendation per unique workflow. Classification profiles the
-	// components standalone; those runs are memoized, and identical
-	// workflows being recommended by a concurrent collector coalesce in
-	// the runner.
-	var jobs []core.Job
-	for _, g := range order {
-		g.rec, g.err = b.rt.RecommendWorkflow(g.wf)
-		if g.err != nil {
-			continue
-		}
-		if g.includeAll {
-			for _, cfg := range core.Configs {
-				g.jobs = append(g.jobs, core.ConfigJob(g.wf, cfg))
-			}
-		} else {
-			g.jobs = append(g.jobs, core.ConfigJob(g.wf, g.rec.Config))
-		}
-		jobs = append(jobs, g.jobs...)
-	}
-
-	results, err := b.rt.RunBatch(jobs)
-	at := 0
-	for _, g := range order {
-		if g.err != nil {
-			continue
-		}
-		if err == nil {
-			g.results = results[at : at+len(g.jobs)]
-		} else {
-			// A failed batch reports only its first error; re-run this
-			// group's jobs individually (cached if they succeeded) so each
-			// group gets its own verdict and healthy groups still answer.
-			g.results = make([]core.Result, len(g.jobs))
-			for i, job := range g.jobs {
-				g.results[i], g.err = b.rt.RunDeployment(job.Workflow, job.Deployment)
-				if g.err != nil {
-					g.results = nil
-					break
-				}
-			}
-		}
-		at += len(g.jobs)
-	}
-
-	for _, g := range order {
-		res := recommendResult{rec: g.rec, err: g.err}
-		if g.err == nil {
-			if g.includeAll {
-				res.all = g.results
-				for i, cfg := range core.Configs {
-					res.all[i].Config = cfg
-					if cfg == g.rec.Config {
-						res.chosen = res.all[i]
-					}
-				}
-			} else {
-				res.chosen = g.results[0]
-				res.chosen.Config = g.rec.Config
-			}
-		}
-		for _, w := range g.members {
-			w.resp <- res
-		}
+		s.reply(w, http.StatusOK, o.v)
+	case <-ctx.Done():
+		s.replyError(w, http.StatusGatewayTimeout, "deadline exceeded while the decision was computing; retry to hit the warmed cache")
 	}
 }
 
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	var req recommendRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.replyError(w, http.StatusBadRequest, "%v", err)
+	if status, err := decodeJSON(w, r, &req); err != nil {
+		s.replyError(w, status, "%v", err)
 		return
 	}
 	if len(req.DAG) > 0 {
-		s.handleRecommendDAG(w, req)
+		s.handleRecommendDAG(w, r, req)
 		return
 	}
 	wf, err := req.resolve()
@@ -252,61 +66,60 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		s.replyError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	work := &recommendWork{
-		wf:         wf,
-		key:        specKey(wf),
-		includeAll: req.IncludeRuntimes,
-		resp:       make(chan recommendResult, 1),
-	}
-	ctx := r.Context()
-	select {
-	case s.batch.ch <- work:
-	case <-ctx.Done():
-		s.replyError(w, http.StatusGatewayTimeout, "deadline exceeded before the request was batched")
-		return
-	}
-	var res recommendResult
-	select {
-	case res = <-work.resp:
-	case <-ctx.Done():
-		// The batch keeps computing and warms the cache; an immediate
-		// retry is a cache hit.
-		s.replyError(w, http.StatusGatewayTimeout, "deadline exceeded while the decision was computing; retry to hit the warmed cache")
-		return
-	}
-	if res.err != nil {
-		s.replyError(w, http.StatusInternalServerError, "%v", res.err)
-		return
+	serveDecision(s, w, r, func() (recommendResponse, error) {
+		return s.recommend(wf, req.IncludeRuntimes)
+	})
+}
+
+// recommend is the plain decision: classify the workflow, apply
+// Table II, and run it under the chosen configuration — or under all
+// four when the request asked for every runtime.
+func (s *Server) recommend(wf workflow.Spec, includeAll bool) (recommendResponse, error) {
+	rec, err := s.rt.RecommendWorkflow(wf)
+	if err != nil {
+		return recommendResponse{}, err
 	}
 	resp := recommendResponse{
-		Workflow:       wf.Name,
-		Ranks:          wf.Ranks,
-		Config:         res.rec.Config.Label(),
-		Rule:           res.rec.Row.ID,
-		Illustrative:   res.rec.Row.Illustrative,
-		Features:       featuresWire(res.rec.Features),
-		RuntimeSeconds: res.chosen.TotalSeconds,
+		Workflow:     wf.Name,
+		Ranks:        wf.Ranks,
+		Config:       rec.Config.Label(),
+		Rule:         rec.Row.ID,
+		Illustrative: rec.Row.Illustrative,
+		Features:     featuresWire(rec.Features),
 	}
 	if wf.Tier.Enabled() {
 		resp.Tier = wf.Tier.Label()
 	}
-	if req.IncludeRuntimes {
-		for i, cfg := range core.Configs {
-			resp.Runtimes = append(resp.Runtimes, configRuntime{
-				Config:         cfg.Label(),
-				RuntimeSeconds: res.all[i].TotalSeconds,
-			})
+	if !includeAll {
+		chosen, err := s.rt.Run(wf, rec.Config)
+		if err != nil {
+			return recommendResponse{}, err
 		}
+		resp.RuntimeSeconds = chosen.TotalSeconds
+		return resp, nil
 	}
-	s.reply(w, http.StatusOK, resp)
+	all, err := s.rt.RunAll(wf)
+	if err != nil {
+		return recommendResponse{}, err
+	}
+	for _, res := range all {
+		if res.Config == rec.Config {
+			resp.RuntimeSeconds = res.TotalSeconds
+		}
+		resp.Runtimes = append(resp.Runtimes, configRuntime{
+			Config:         res.Config.Label(),
+			RuntimeSeconds: res.TotalSeconds,
+		})
+	}
+	return resp, nil
 }
 
-// handleRecommendDAG is the inline DAG decision path: a per-stage
-// tuned configuration (core.TuneDAG over the shared engine) instead of
-// a Table II cell. DAG tuning bypasses the micro-batcher — its many
-// per-edge kernel runs already coalesce in the runner's singleflight
-// cache, which is where concurrent identical DAG requests meet.
-func (s *Server) handleRecommendDAG(w http.ResponseWriter, req recommendRequest) {
+// handleRecommendDAG is the DAG decision path: a per-stage tuned
+// configuration (core.TuneDAG over the shared engine) instead of a
+// Table II cell, under the same deadline as the plain path. Its many
+// per-edge kernel runs coalesce in the runner's singleflight cache,
+// which is where concurrent identical DAG requests meet.
+func (s *Server) handleRecommendDAG(w http.ResponseWriter, r *http.Request, req recommendRequest) {
 	if req.Name != "" || len(req.Workflow) > 0 {
 		s.replyError(w, http.StatusBadRequest, "schedd: request sets dag next to name or workflow; pick one")
 		return
@@ -320,10 +133,16 @@ func (s *Server) handleRecommendDAG(w http.ResponseWriter, req recommendRequest)
 		s.replyError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	serveDecision(s, w, r, func() (dagRecommendResponse, error) {
+		return s.recommendDAG(d)
+	})
+}
+
+// recommendDAG tunes the DAG's per-stage configurations.
+func (s *Server) recommendDAG(d workflow.DAGSpec) (dagRecommendResponse, error) {
 	tuned, err := core.TuneDAG(s.rt, d, core.DAGOptions{})
 	if err != nil {
-		s.replyError(w, http.StatusInternalServerError, "%v", err)
-		return
+		return dagRecommendResponse{}, err
 	}
 	resp := dagRecommendResponse{
 		Workflow:               d.Name,
@@ -348,5 +167,5 @@ func (s *Server) handleRecommendDAG(w http.ResponseWriter, req recommendRequest)
 			Stack:  sc.Stack,
 		})
 	}
-	s.reply(w, http.StatusOK, resp)
+	return resp, nil
 }

@@ -18,16 +18,15 @@
 //   - Admission: a bounded gate sheds load with 429 + Retry-After once
 //     the configured number of decision requests are in flight, so a
 //     burst degrades into fast rejections instead of collapse.
-//   - Micro-batching: compatible recommend requests are collected for
-//     a few milliseconds and executed as one Runner.RunBatch call;
-//     identical requests within a batch are deduplicated before they
-//     reach the engine, and identical requests across concurrent
-//     batches coalesce in the runner's singleflight cache.
-//   - Deadlines: every decision request carries a timeout; a request
-//     that exceeds it gets 504 while the underlying computation
-//     completes and warms the cache for the retry.
+//   - Coalescing: recommend handlers call the shared runner directly;
+//     identical in-flight requests join one execution in its
+//     singleflight cache, and its worker pool bounds the simulations
+//     running at once.
+//   - Deadlines: every decision request carries a timeout; a plain or
+//     DAG recommendation that exceeds it gets 504 while the decision
+//     completes detached and warms the cache for the retry.
 //   - Observability: GET /metrics (request counts, latency histograms,
-//     cache hit rate, admission and batching counters), GET /healthz,
+//     cache hit rate, admission counters), GET /healthz,
 //     and structured request logs with per-request IDs.
 //
 // Responses contain no timestamps or request identifiers, so identical
@@ -36,10 +35,10 @@
 package schedd
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"sync"
 	"time"
 
@@ -56,21 +55,12 @@ type Config struct {
 	Policy cluster.Policy
 	// CoresPerSocket sets the store's node shape; 0 = the testbed's.
 	CoresPerSocket int
-	// MaxInflight caps concurrently admitted decision requests; beyond
-	// it the server sheds with 429. 0 selects 8x the runner's worker
+	// MaxInflight caps concurrently admitted decision requests, counting
+	// a recommendation until its decision finishes even when its request
+	// already answered 504; beyond it the server sheds with 429. 0 selects 8x the runner's worker
 	// pool (decision requests spend most of their time waiting on the
 	// pool, so some queueing depth keeps the workers fed).
 	MaxInflight int
-	// BatchWindow is how long a recommend batch collector waits for
-	// more requests after the first; 0 selects 2ms.
-	BatchWindow time.Duration
-	// MaxBatch caps requests per micro-batch; 0 selects 64.
-	MaxBatch int
-	// Batchers is the number of concurrent batch collectors; 0 selects
-	// min(4, GOMAXPROCS). More than one lets identical requests land
-	// in concurrent batches, which is what exercises the runner's
-	// singleflight coalescing under load.
-	Batchers int
 	// RequestTimeout is the per-request decision deadline; 0 selects
 	// 30s.
 	RequestTimeout time.Duration
@@ -88,15 +78,6 @@ func (c *Config) fill() error {
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 8 * c.Runner.Workers()
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
-	if c.Batchers <= 0 {
-		c.Batchers = min(4, runtime.GOMAXPROCS(0))
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
@@ -107,16 +88,18 @@ func (c *Config) fill() error {
 }
 
 // Server is the daemon: an http.Handler plus the shared decision
-// engine, the placement store, the admission gate, the batch
-// collectors and the metrics registry.
+// engine, the placement store, the admission gate and the metrics
+// registry.
 type Server struct {
-	cfg   Config
-	rt    *core.Runner
-	gate  *gate
-	met   *registry
-	batch *batcher
-	mux   *http.ServeMux
-	log   *slog.Logger
+	cfg  Config
+	rt   *core.Runner
+	gate *gate
+	met  *registry
+	mux  *http.ServeMux
+	log  *slog.Logger
+	// decisions counts recommend decisions still computing, including
+	// those detached from a request that hit its deadline.
+	decisions sync.WaitGroup
 
 	storeMu sync.Mutex
 	store   *cluster.State
@@ -127,9 +110,8 @@ type Server struct {
 	jobKeys   map[string]int
 }
 
-// New builds a server. Call Close when done to stop the batch
-// collectors (after draining the HTTP server, so no handler is still
-// submitting work).
+// New builds a server. Call Close when done (after draining the HTTP
+// server, so no handler is still starting decisions).
 func New(cfg Config) (*Server, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -152,14 +134,14 @@ func New(cfg Config) (*Server, error) {
 		jobKeys:   make(map[string]int),
 		log:       cfg.Logger,
 	}
-	s.batch = newBatcher(cfg.Runner, cfg.BatchWindow, cfg.MaxBatch, cfg.Batchers, s.met)
 	s.routes()
 	return s, nil
 }
 
-// Close stops the batch collectors. It must only be called once no
+// Close waits for every decision still computing, including those
+// whose requests already answered 504. It must only be called once no
 // handler can still be running (http.Server.Shutdown has returned).
-func (s *Server) Close() { s.batch.close() }
+func (s *Server) Close() { s.decisions.Wait() }
 
 // Handler returns the daemon's HTTP handler with the middleware chain
 // applied: request ID + structured log + per-endpoint metrics.
@@ -173,7 +155,7 @@ func (s *Server) routes() {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("POST /v1/recommend", s.admitted(s.handleRecommend))
+	s.mux.HandleFunc("POST /v1/recommend", s.handleRecommend) // admitted by serveDecision
 	s.mux.HandleFunc("POST /v1/nodes", s.admitted(s.handleAddNodes))
 	s.mux.HandleFunc("POST /v1/jobs", s.admitted(s.handleSubmitJob))
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
@@ -182,23 +164,32 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/state", s.handleState)
 }
 
-// admitted wraps a decision handler with the admission gate and the
+// admitted wraps a placement handler with the admission gate and the
 // per-request deadline. Read-only introspection endpoints (healthz,
 // metrics, state, job status) bypass the gate: they must stay
 // responsive exactly when the gate is shedding.
 func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if !s.gate.tryAcquire() {
-			s.met.shed.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "server saturated: all decision slots in flight")
+		if !s.admit(w) {
 			return
 		}
 		defer s.gate.release()
-		ctx, cancel := contextWithTimeout(r, s.cfg.RequestTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
 		h(w, r.WithContext(ctx))
 	}
+}
+
+// admit takes a decision slot, or sheds the request with 429 and
+// reports false.
+func (s *Server) admit(w http.ResponseWriter) bool {
+	if s.gate.tryAcquire() {
+		return true
+	}
+	s.met.shed.Add(1)
+	w.Header().Set("Retry-After", "1")
+	writeError(w, http.StatusTooManyRequests, "server saturated: all decision slots in flight")
+	return false
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

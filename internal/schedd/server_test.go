@@ -140,6 +140,7 @@ func TestRecommendErrors(t *testing.T) {
 		{"neither", `{}`, "needs a workload name or an inline workflow spec"},
 		{"both", `{"name":"micro-2k","workflow":{"name":"x"}}`, "sets both name and workflow"},
 		{"negative ranks", `{"name":"micro-2k","ranks":-4}`, "ranks must be positive"},
+		{"indivisible miniamr ranks", `{"name":"miniamr+readonly","ranks":7}`, "must evenly divide"},
 		{"bad spec", `{"workflow":{"name":"x","ranks":0}}`, "workflow"},
 	}
 	for _, tc := range cases {
@@ -224,6 +225,7 @@ func TestPlacementErrors(t *testing.T) {
 		{"zero nodes", "POST", "/v1/nodes", `{"count":0}`, 400, "count must be in"},
 		{"too many nodes", "POST", "/v1/nodes", `{"count":100000}`, 400, "count must be in"},
 		{"oversized job", "POST", "/v1/jobs", `{"name":"micro-2k","ranks":999}`, 400, "ranks"},
+		{"indivisible miniamr job", "POST", "/v1/jobs", `{"name":"miniamr+readonly","ranks":7}`, 400, "must evenly divide"},
 		{"job status non-int", "GET", "/v1/jobs/zz", "", 400, "must be an integer"},
 		{"job status missing", "GET", "/v1/jobs/7", "", 404, "no job 7"},
 		{"advance backwards", "POST", "/v1/advance", `{"to_seconds":-1}`, 400, "backwards"},
@@ -263,16 +265,11 @@ func slowEnv(d time.Duration) core.Env {
 // TestConcurrentRecommendCoalesce hammers one workflow from many
 // clients at once (run under -race). All responses must be 200 with
 // byte-identical bodies, and the shared runner must report in-flight
-// joins: concurrent batches asked for the same computation and joined
-// one execution instead of duplicating it.
+// joins: concurrent requests asked for the same computation and
+// joined one execution instead of duplicating it.
 func TestConcurrentRecommendCoalesce(t *testing.T) {
 	srv, ts := newTestServer(t, func(cfg *Config) {
 		cfg.Runner = core.NewRunner(slowEnv(2*time.Millisecond), 0)
-		// One request per batch across several collectors: coalescing
-		// must happen in the runner, not by intra-batch dedup.
-		cfg.MaxBatch = 1
-		cfg.Batchers = 4
-		cfg.BatchWindow = time.Millisecond
 		// Admit every client at once; shedding is TestAdmissionShed's
 		// subject, not this test's.
 		cfg.MaxInflight = 64
@@ -309,50 +306,14 @@ func TestConcurrentRecommendCoalesce(t *testing.T) {
 	}
 }
 
-// TestIntraBatchDedup sends identical requests into one wide batch
-// window and checks the batcher merged them before the engine.
-func TestIntraBatchDedup(t *testing.T) {
-	srv, ts := newTestServer(t, func(cfg *Config) {
-		cfg.Batchers = 1
-		cfg.MaxBatch = 64
-		cfg.BatchWindow = 50 * time.Millisecond
-	})
-	const clients = 8
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			status, body := call(t, ts, "POST", "/v1/recommend", `{"name":"micro-64mb","ranks":6}`)
-			if status != http.StatusOK {
-				t.Errorf("status %d, body %s", status, body)
-			}
-		}()
-	}
-	wg.Wait()
-	if merged := srv.met.merged.Load(); merged == 0 {
-		t.Logf("batch counters: batches=%d requests=%d merged=%d",
-			srv.met.batches.Load(), srv.met.batched.Load(), merged)
-		// Merging needs at least two requests in one batch; with a 50ms
-		// window and simultaneous clients this should essentially always
-		// happen, but scheduling can strand each request in its own
-		// batch. Only fail if batching itself never ran.
-		if srv.met.batches.Load() == 0 {
-			t.Errorf("no batches executed at all")
-		}
-	}
-}
-
 // TestAdmissionShed saturates the single decision slot and checks the
 // daemon sheds with 429 + Retry-After while saturated, then recovers.
 func TestAdmissionShed(t *testing.T) {
 	srv, ts := newTestServer(t, func(cfg *Config) {
 		cfg.MaxInflight = 1
-		// A lone request waits out the whole batch window, pinning the
-		// slot long enough for the second request to observe saturation.
-		cfg.BatchWindow = 500 * time.Millisecond
-		cfg.MaxBatch = 64
-		cfg.Batchers = 1
+		// A slow stack pins the slot with a cold decision long enough
+		// for the second request to observe saturation.
+		cfg.Runner = core.NewRunner(slowEnv(200*time.Millisecond), 0)
 	})
 
 	done := make(chan struct{})
@@ -463,8 +424,95 @@ func TestMetricsShape(t *testing.T) {
 	if m.Admission.MaxInflight <= 0 {
 		t.Errorf("admission capacity %d", m.Admission.MaxInflight)
 	}
-	if m.Batch.Batches == 0 || m.Batch.Requests < m.Batch.Batches {
-		t.Errorf("batch counters %+v", m.Batch)
+}
+
+// TestRecommendDeadline runs plain and DAG decisions past a short
+// deadline: each answers 504, keeps computing detached while holding
+// its admission slot, and Close waits for it. A retry through a daemon
+// with a generous deadline on the same runner is then served entirely
+// from the warmed cache.
+func TestRecommendDeadline(t *testing.T) {
+	for _, tc := range []struct{ name, body string }{
+		{"plain", `{"name":"micro-2k","ranks":6,"include_runtimes":true}`},
+		{"dag", `{"dag":` + testDAGDoc + `}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := core.NewRunner(slowEnv(300*time.Millisecond), 0)
+			srv, ts := newTestServer(t, func(cfg *Config) {
+				cfg.Runner = rt
+				cfg.RequestTimeout = 20 * time.Millisecond
+				cfg.MaxInflight = 1
+			})
+			status, body := call(t, ts, "POST", "/v1/recommend", tc.body)
+			if status != http.StatusGatewayTimeout {
+				t.Fatalf("status %d, want 504; body %s", status, body)
+			}
+			if !strings.Contains(string(body), "retry to hit the warmed cache") {
+				t.Errorf("504 body %q does not point at the retry", body)
+			}
+			if status, body := call(t, ts, "POST", "/v1/recommend", tc.body); status != http.StatusTooManyRequests {
+				t.Errorf("second request: status %d, want 429 while the detached decision holds the only slot; body %s", status, body)
+			}
+			ts.Close()
+			srv.Close() // returns once the detached decision has filled the cache
+
+			before := rt.Stats()
+			_, warm := newTestServer(t, func(cfg *Config) { cfg.Runner = rt })
+			if status, body := call(t, warm, "POST", "/v1/recommend", tc.body); status != http.StatusOK {
+				t.Fatalf("retry: status %d, body %s", status, body)
+			}
+			after := rt.Stats()
+			if after.Hits <= before.Hits {
+				t.Errorf("retry recorded no cache hits (before %+v, after %+v)", before, after)
+			}
+			if after.Misses != before.Misses {
+				t.Errorf("retry missed the cache %d times: the detached decision did not finish before Close returned",
+					after.Misses-before.Misses)
+			}
+		})
+	}
+}
+
+// TestDecodeRejectsOversizedAndTrailingInput checks every body-reading
+// endpoint takes exactly one JSON value of at most maxBodyBytes:
+// trailing garbage and a second value are 400, a longer body is 413.
+func TestDecodeRejectsOversizedAndTrailingInput(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	valid := map[string]string{
+		"/v1/recommend": `{"name":"micro-2k","ranks":4}`,
+		"/v1/nodes":     `{"count":1}`,
+		"/v1/jobs":      `{"name":"micro-2k","ranks":4}`,
+		"/v1/advance":   `{"to_seconds":0}`,
+	}
+	for _, path := range []string{"/v1/recommend", "/v1/nodes", "/v1/jobs", "/v1/advance"} {
+		body := valid[path]
+		for _, tc := range []struct {
+			name   string
+			body   string
+			status int
+			want   string
+		}{
+			{"trailing garbage", body + "garbage", http.StatusBadRequest, "trailing data"},
+			{"second value", body + " " + body, http.StatusBadRequest, "trailing data"},
+			{"oversized", body + strings.Repeat(" ", 2<<20), http.StatusRequestEntityTooLarge, "exceeds"},
+		} {
+			t.Run(strings.TrimPrefix(path, "/v1/")+"/"+tc.name, func(t *testing.T) {
+				status, got := call(t, ts, "POST", path, tc.body)
+				if status != tc.status {
+					t.Fatalf("status %d, want %d; body %s", status, tc.status, got)
+				}
+				if !strings.Contains(string(got), tc.want) {
+					t.Errorf("body %q does not mention %q", got, tc.want)
+				}
+			})
+		}
+	}
+	// The valid bodies alone are still accepted, with trailing
+	// whitespace.
+	for _, path := range []string{"/v1/recommend", "/v1/nodes", "/v1/jobs", "/v1/advance"} {
+		if status, got := call(t, ts, "POST", path, valid[path]+"\n"); status != http.StatusOK {
+			t.Errorf("%s: status %d, body %s", path, status, got)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -82,6 +83,9 @@ func (ref workflowRef) resolve() (workflow.Spec, error) {
 	}
 	if ranks < 0 {
 		return workflow.Spec{}, fmt.Errorf("schedd: ranks must be positive, got %d", ranks)
+	}
+	if strings.HasPrefix(ref.Name, "miniamr+") && workloads.MiniAMRTotalObjects%ranks != 0 {
+		return workflow.Spec{}, fmt.Errorf("schedd: miniAMR ranks must evenly divide %d objects, got %d", workloads.MiniAMRTotalObjects, ranks)
 	}
 	switch ref.Name {
 	case "micro-64mb":
@@ -361,14 +365,28 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
-// decodeJSON strictly decodes a bounded request body into v.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
+// decodeJSON strictly decodes a request body holding exactly one JSON
+// value into v. On failure it also returns the status to answer: 413
+// for a body past maxBodyBytes, 400 for anything else.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decoding request: %w", err)
+	err := dec.Decode(v)
+	trailing := false
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return 0, nil
+		}
+		trailing = true
 	}
-	return nil
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("decoding request: body exceeds %d bytes", tooBig.Limit)
+	case trailing:
+		return http.StatusBadRequest, errors.New("decoding request: trailing data after the JSON value")
+	}
+	return http.StatusBadRequest, fmt.Errorf("decoding request: %w", err)
 }
 
 // writeJSON marshals v, then writes status and the body in one shot —
@@ -405,11 +423,6 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	// The body is a marshal of a plain struct — it cannot fail — and a
 	// failed socket write at rejection time has no one left to tell.
 	_ = writeJSON(w, status, errorJSON{Error: msg})
-}
-
-// contextWithTimeout attaches the per-request decision deadline.
-func contextWithTimeout(r *http.Request, d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(r.Context(), d)
 }
 
 // discardHandler is a no-op slog.Handler (the default when no logger
