@@ -44,6 +44,18 @@ func (e Env) machine() *platform.Machine {
 	return platform.Testbed()
 }
 
+// CoresPerSocket returns the core count of the environment machine's
+// narrowest socket: the most ranks per component a run can place.
+func (e Env) CoresPerSocket() int {
+	cores := 0
+	for i, s := range e.machine().Topology.Sockets {
+		if i == 0 || s.Cores < cores {
+			cores = s.Cores
+		}
+	}
+	return cores
+}
+
 func (e Env) stack() stack.Instance {
 	if e.NewStack != nil {
 		return e.NewStack()

@@ -109,13 +109,14 @@ func (m *Machine) Path(a Access) (path []sim.Resource, class sim.FlowClass, late
 		}
 	default:
 		dev := m.Device(a.Device)
+		model := dev.Model()
 		switch a.Kind {
 		case sim.Read:
 			path = append(path, dev.ReadPort())
-			latency = dev.Model().ReadLatency(remote)
+			latency = model.ReadLatency(remote)
 		case sim.Write:
 			path = append(path, dev.WritePort())
-			latency = dev.Model().WriteLatency(remote)
+			latency = model.WriteLatency(remote)
 		}
 	}
 	if remote {

@@ -3,7 +3,8 @@ package pmem
 import "testing"
 
 func TestGen2OptaneValidates(t *testing.T) {
-	if err := Gen2Optane().Validate(); err != nil {
+	m := Gen2Optane()
+	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -241,7 +241,7 @@ func Gen1Optane() Model {
 }
 
 // Validate reports whether the model's constants are self-consistent.
-func (m Model) Validate() error {
+func (m *Model) Validate() error {
 	switch {
 	case m.ReadMax <= 0 || m.WriteMax <= 0:
 		return fmt.Errorf("pmem: peak bandwidths must be positive (read %g, write %g)", m.ReadMax, m.WriteMax)
@@ -326,7 +326,7 @@ type Caps struct {
 
 // Caps evaluates the capacity model for a weighted load census at the
 // given sustained-write pressure (0..1).
-func (m Model) Caps(l Load, pressure float64) Caps {
+func (m *Model) Caps(l Load, pressure float64) Caps {
 	var c Caps
 	if l.Reads() > 0 {
 		c.Read = m.readAggregate(l)
@@ -342,14 +342,14 @@ func (m Model) Caps(l Load, pressure float64) Caps {
 
 // readAggregate: linear scaling to ReadScaleOps, remote penalty folded
 // in proportionally to the remote share.
-func (m Model) readAggregate(l Load) float64 {
+func (m *Model) readAggregate(l Load) float64 {
 	n := l.Reads()
 	base := m.ReadMax * math.Min(1, n/m.ReadScaleOps)
 	pen := m.remoteReadPenalty(l.RemoteReads)
 	return base * (l.LocalReads + l.RemoteReads/pen) / n
 }
 
-func (m Model) remoteReadPenalty(w float64) float64 {
+func (m *Model) remoteReadPenalty(w float64) float64 {
 	if w <= 0 {
 		return 1
 	}
@@ -365,7 +365,7 @@ func (m Model) remoteReadPenalty(w float64) float64 {
 // writeAggregate: linear scaling to WriteScaleOps, then a gentle decay
 // (XPBuffer eviction) with more write streams; remote writers collapse
 // per the pressure-scaled penalty, blended by population.
-func (m Model) writeAggregate(l Load, pressure float64) float64 {
+func (m *Model) writeAggregate(l Load, pressure float64) float64 {
 	n := l.Writes()
 	scale := math.Min(1, n/m.WriteScaleOps)
 	if n > m.WriteScaleOps {
@@ -384,7 +384,7 @@ func (m Model) writeAggregate(l Load, pressure float64) float64 {
 // RemoteWritePenalty returns the aggregate-bandwidth division factor
 // for w effective concurrent remote writers at the given sustained
 // pressure. Exported for characterization output and ablation tests.
-func (m Model) RemoteWritePenalty(w, pressure float64) float64 {
+func (m *Model) RemoteWritePenalty(w, pressure float64) float64 {
 	if w <= 0 {
 		return 1
 	}
@@ -412,7 +412,7 @@ func (m Model) RemoteWritePenalty(w, pressure float64) float64 {
 // from small accesses. The volume mix (how deep the mixing penalty
 // cuts at its peak) uses weighted counts; the contention triggers use
 // raw stream counts (see Load).
-func (m Model) sharedEfficiency(l Load, pressure float64) float64 {
+func (m *Model) sharedEfficiency(l Load, pressure float64) float64 {
 	n := l.Total()
 	raw := l.RawTotal()
 	if n <= 0 || raw <= 0 {
@@ -443,7 +443,7 @@ func (m Model) sharedEfficiency(l Load, pressure float64) float64 {
 }
 
 // ReadLatency returns the per-operation read setup latency.
-func (m Model) ReadLatency(remote bool) float64 {
+func (m *Model) ReadLatency(remote bool) float64 {
 	if remote {
 		return m.ReadLatencyRemote
 	}
@@ -453,7 +453,7 @@ func (m Model) ReadLatency(remote bool) float64 {
 // WriteLatency returns the per-operation write setup latency. Writes
 // complete once queued at the (possibly remote) iMC, hence the much
 // lower figure than reads.
-func (m Model) WriteLatency(remote bool) float64 {
+func (m *Model) WriteLatency(remote bool) float64 {
 	if remote {
 		return m.WriteLatencyRemote
 	}
@@ -462,7 +462,7 @@ func (m Model) WriteLatency(remote bool) float64 {
 
 // Small reports whether an access of the given size is sub-stripe
 // ("small") for DIMM-contention purposes.
-func (m Model) Small(accessBytes int64) bool { return accessBytes < m.SmallAccessBytes }
+func (m *Model) Small(accessBytes int64) bool { return accessBytes < m.SmallAccessBytes }
 
 func clamp01(v float64) float64 {
 	if v < 0 {

@@ -9,7 +9,8 @@ import (
 )
 
 func TestGen1OptaneValidates(t *testing.T) {
-	if err := Gen1Optane().Validate(); err != nil {
+	m := Gen1Optane()
+	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -53,6 +53,12 @@ func TestRecommendDAGRejects(t *testing.T) {
 	if status != http.StatusBadRequest || !strings.Contains(string(body), "cycle") {
 		t.Fatalf("cyclic dag: status %d, body %s", status, body)
 	}
+	// So is a stage wider than a socket.
+	wide := strings.Replace(testDAGDoc, `"ranks": 4`, `"ranks": 64`, 1)
+	status, body = call(t, ts, "POST", "/v1/recommend", `{"dag":`+wide+`}`)
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "needs 64 ranks") {
+		t.Fatalf("wide dag: status %d, body %s", status, body)
+	}
 }
 
 // DAG specs are a recommend-only feature: the placement store prices

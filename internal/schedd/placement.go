@@ -92,7 +92,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		s.replyError(w, status, "%v", err)
 		return
 	}
-	wf, err := req.resolve()
+	wf, err := req.resolve(s.cores)
 	if err != nil {
 		s.replyError(w, http.StatusBadRequest, "%v", err)
 		return

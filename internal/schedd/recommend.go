@@ -61,7 +61,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		s.handleRecommendDAG(w, r, req)
 		return
 	}
-	wf, err := req.resolve()
+	wf, err := req.resolve(s.cores)
 	if err != nil {
 		s.replyError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -129,6 +129,9 @@ func (s *Server) handleRecommendDAG(w http.ResponseWriter, r *http.Request, req 
 		return
 	}
 	d, err := workflow.ReadDAGSpec(bytes.NewReader(req.DAG))
+	if err == nil {
+		err = checkWidth(d.Name, d.MaxRanks(), s.cores)
+	}
 	if err != nil {
 		s.replyError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -97,6 +97,9 @@ type Server struct {
 	met  *registry
 	mux  *http.ServeMux
 	log  *slog.Logger
+	// cores is the runner machine's cores per socket, the widest
+	// workflow the daemon accepts.
+	cores int
 	// decisions counts recommend decisions still computing, including
 	// those detached from a request that hit its deadline.
 	decisions sync.WaitGroup
@@ -133,6 +136,7 @@ func New(cfg Config) (*Server, error) {
 		nodeNames: make(map[string]int),
 		jobKeys:   make(map[string]int),
 		log:       cfg.Logger,
+		cores:     cfg.Runner.Env().CoresPerSocket(),
 	}
 	s.routes()
 	return s, nil

@@ -127,6 +127,12 @@ func TestRecommendInlineSpecMatchesCatalog(t *testing.T) {
 	}
 }
 
+// wideSpecDoc is a valid inline workflow one rank wider than the
+// testbed's 28-core sockets.
+const wideSpecDoc = `{"name":"wide","ranks":29,"iterations":1,
+  "simulation":{"name":"s","objects":[{"bytes":4096,"count_per_rank":1}]},
+  "analytics":{"name":"a"}}`
+
 func TestRecommendErrors(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	cases := []struct {
@@ -142,6 +148,9 @@ func TestRecommendErrors(t *testing.T) {
 		{"negative ranks", `{"name":"micro-2k","ranks":-4}`, "ranks must be positive"},
 		{"indivisible miniamr ranks", `{"name":"miniamr+readonly","ranks":7}`, "must evenly divide"},
 		{"bad spec", `{"workflow":{"name":"x","ranks":0}}`, "workflow"},
+		{"wider than a socket", `{"name":"gtc+readonly","ranks":64}`, "needs 64 ranks on one socket, but sockets have 28 cores"},
+		{"absurd ranks", `{"name":"micro-2k","ranks":100000000}`, "needs 100000000 ranks"},
+		{"inline spec wider than a socket", `{"workflow":` + wideSpecDoc + `}`, "needs 29 ranks"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -225,6 +234,7 @@ func TestPlacementErrors(t *testing.T) {
 		{"zero nodes", "POST", "/v1/nodes", `{"count":0}`, 400, "count must be in"},
 		{"too many nodes", "POST", "/v1/nodes", `{"count":100000}`, 400, "count must be in"},
 		{"oversized job", "POST", "/v1/jobs", `{"name":"micro-2k","ranks":999}`, 400, "ranks"},
+		{"inline job wider than a socket", "POST", "/v1/jobs", `{"workflow":` + wideSpecDoc + `}`, 400, "needs 29 ranks"},
 		{"indivisible miniamr job", "POST", "/v1/jobs", `{"name":"miniamr+readonly","ranks":7}`, 400, "must evenly divide"},
 		{"job status non-int", "GET", "/v1/jobs/zz", "", 400, "must be an integer"},
 		{"job status missing", "GET", "/v1/jobs/7", "", 404, "no job 7"},

@@ -59,8 +59,10 @@ type workflowRef struct {
 	Tier json.RawMessage `json:"tier,omitempty"`
 }
 
-// resolve turns the reference into a validated spec.
-func (ref workflowRef) resolve() (workflow.Spec, error) {
+// resolve turns the reference into a validated spec no wider than
+// cores ranks per component, the most the decision engine's machine
+// can place on one socket.
+func (ref workflowRef) resolve(cores int) (workflow.Spec, error) {
 	if len(ref.DAG) > 0 {
 		return workflow.Spec{}, fmt.Errorf("schedd: dag specs are supported on /v1/recommend only")
 	}
@@ -70,6 +72,9 @@ func (ref workflowRef) resolve() (workflow.Spec, error) {
 		}
 		wf, err := workflow.ReadSpec(bytes.NewReader(ref.Workflow))
 		if err != nil {
+			return workflow.Spec{}, err
+		}
+		if err := checkWidth(wf.Name, wf.Ranks, cores); err != nil {
 			return workflow.Spec{}, err
 		}
 		return ref.applyTier(wf)
@@ -83,6 +88,9 @@ func (ref workflowRef) resolve() (workflow.Spec, error) {
 	}
 	if ranks < 0 {
 		return workflow.Spec{}, fmt.Errorf("schedd: ranks must be positive, got %d", ranks)
+	}
+	if err := checkWidth(ref.Name, ranks, cores); err != nil {
+		return workflow.Spec{}, err
 	}
 	if strings.HasPrefix(ref.Name, "miniamr+") && workloads.MiniAMRTotalObjects%ranks != 0 {
 		return workflow.Spec{}, fmt.Errorf("schedd: miniAMR ranks must evenly divide %d objects, got %d", workloads.MiniAMRTotalObjects, ranks)
@@ -102,6 +110,16 @@ func (ref workflowRef) resolve() (workflow.Spec, error) {
 		return ref.applyTier(workloads.MiniAMRMatrixMult(ranks))
 	}
 	return workflow.Spec{}, fmt.Errorf("schedd: unknown workload %q (want micro-64mb, micro-2k, gtc+readonly, gtc+matrixmult, miniamr+readonly or miniamr+matrixmult)", ref.Name)
+}
+
+// checkWidth rejects a workflow wider than one socket: every run pins
+// each component's (or DAG stage's) ranks to distinct cores of one
+// socket, so a wider one is the client's error, not the engine's.
+func checkWidth(name string, ranks, cores int) error {
+	if ranks > cores {
+		return fmt.Errorf("schedd: workflow %s needs %d ranks on one socket, but sockets have %d cores", name, ranks, cores)
+	}
+	return nil
 }
 
 // applyTier overlays the request's tier spec, if any, onto the

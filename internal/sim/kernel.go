@@ -55,12 +55,23 @@ func (p *Proc) Tags() []string {
 // Kernel is the simulation engine. Create with New, add processes with
 // Spawn, then call Run.
 type Kernel struct {
-	now           float64
-	procs         []*Proc
-	flows         []*Flow // active transfers, ordered by arrival
-	prevResources []Resource
-	dirty         bool // flow set changed since last rate computation
-	condSeq       int
+	now     float64
+	procs   []*Proc
+	flows   []*Flow // active transfers, ordered by arrival
+	dirty   bool    // flow set changed since last rate computation
+	condSeq int
+
+	// Rate-round state. Every resource a flow routes through gets a
+	// dense slot the first time it is seen; flows carry their path as
+	// slots, so a round reads per-slot state by index.
+	slotOf    map[Resource]int32
+	res       []Resource   // slot -> resource
+	lists     [2][][]*Flow // per-slot flow lists, double-buffered by round
+	buf       int          // index into lists of the latest round's buffer
+	stamp     []uint64     // per slot: the last round that installed it
+	round     uint64       // rounds that installed flows so far
+	prevSlots []int32      // slots the latest round installed, in order
+	spare     []int32      // reused backing for the next round's slots
 
 	// MaxSteps bounds the number of kernel events as a runaway guard;
 	// zero means the default (1e9).
@@ -70,7 +81,7 @@ type Kernel struct {
 }
 
 // New returns an empty kernel at time zero.
-func New() *Kernel { return &Kernel{} }
+func New() *Kernel { return &Kernel{slotOf: make(map[Resource]int32)} }
 
 // Now returns the current simulated time in seconds.
 func (k *Kernel) Now() float64 { return k.now }
@@ -105,7 +116,11 @@ var ErrDeadlock = errors.New("sim: deadlock: all live processes blocked")
 
 // Run executes the simulation until every process terminates. It
 // returns the final simulated time.
-func (k *Kernel) Run() (float64, error) {
+func (k *Kernel) Run() (float64, error) { return k.run(k.assignRates) }
+
+// run is Run with the rate round passed in, so tests can drive the
+// same event loop with a reference round.
+func (k *Kernel) run(assignRates func()) (float64, error) {
 	maxSteps := k.MaxSteps
 	if maxSteps == 0 {
 		maxSteps = 1_000_000_000
@@ -124,7 +139,7 @@ func (k *Kernel) Run() (float64, error) {
 			return k.now, nil
 		}
 		if k.dirty {
-			k.assignRates()
+			assignRates()
 			k.dirty = false
 		}
 		t, ok := k.nextEventTime()
@@ -194,7 +209,7 @@ func (k *Kernel) advanceProc(p *Proc) {
 				Weight:    1,
 				opBytes:   opBytes,
 				perOp:     st.PerOpSeconds,
-				path:      st.Path,
+				slots:     k.slotsFor(st.Path),
 				remaining: st.Bytes,
 				proc:      p,
 			}
@@ -277,6 +292,27 @@ func (k *Kernel) wakeBarrier(b *Barrier) {
 // weight-convergence tests assert this).
 const rateIterations = 4
 
+// slotsFor returns the slot of every resource on path, giving each
+// resource the kernel has not seen before the next free slot.
+func (k *Kernel) slotsFor(path []Resource) []int32 {
+	slots := make([]int32, len(path))
+	for i, r := range path {
+		s, ok := k.slotOf[r]
+		if !ok {
+			s = int32(len(k.res))
+			k.slotOf[r] = s
+			k.res = append(k.res, r)
+			// Each process has at most one transfer in flight, so a
+			// list sized to the processes rarely has to grow in a round.
+			k.lists[0] = append(k.lists[0], make([]*Flow, 0, len(k.procs)))
+			k.lists[1] = append(k.lists[1], make([]*Flow, 0, len(k.procs)))
+			k.stamp = append(k.stamp, 0)
+		}
+		slots[i] = s
+	}
+	return slots
+}
+
 // assignRates recomputes flow rates. Each flow's device share is its
 // equal share of every path resource's capacity under the current
 // weighted census (capped by the resource's per-flow stream limit);
@@ -289,42 +325,50 @@ func (k *Kernel) assignRates() {
 		// resources (e.g. the PMEM device's pressure integrator) observe
 		// the idle period instead of integrating a stale census across
 		// it.
-		for _, r := range k.prevResources {
-			r.SetFlows(k.now, nil)
+		for _, s := range k.prevSlots {
+			k.res[s].SetFlows(k.now, nil)
 		}
-		k.prevResources = nil
+		k.prevSlots = k.prevSlots[:0]
 		return
+	}
+	// Build this round's flow lists in the buffer the previous round did
+	// not hand out: a resource may read the lists it and a coupled
+	// resource still hold while SetFlows installs the new ones (the PMEM
+	// device integrates write pressure from both ports' old lists), so
+	// those must stay intact through this round's SetFlows calls.
+	k.buf ^= 1
+	lists := k.lists[k.buf]
+	k.round++
+	slots := k.spare[:0]
+	for _, f := range k.flows {
+		for _, s := range f.slots {
+			if k.stamp[s] != k.round {
+				k.stamp[s] = k.round
+				slots = append(slots, s)
+				lists[s] = lists[s][:0]
+			}
+			lists[s] = append(lists[s], f)
+		}
 	}
 	// Install flow lists on the resources in this round's path union;
 	// clear resources that dropped out since the previous round.
-	flowsOn := make(map[Resource][]*Flow, 8)
-	resources := make([]Resource, 0, 8)
-	for _, f := range k.flows {
-		for _, r := range f.path {
-			if _, ok := flowsOn[r]; !ok {
-				resources = append(resources, r)
-				flowsOn[r] = nil
-			}
-			flowsOn[r] = append(flowsOn[r], f)
+	for _, s := range k.prevSlots {
+		if k.stamp[s] != k.round {
+			k.res[s].SetFlows(k.now, nil)
 		}
 	}
-	for _, r := range k.prevResources {
-		if _, ok := flowsOn[r]; !ok {
-			r.SetFlows(k.now, nil)
-		}
+	for _, s := range slots {
+		k.res[s].SetFlows(k.now, lists[s])
 	}
-	for _, r := range resources {
-		r.SetFlows(k.now, flowsOn[r])
-	}
-	k.prevResources = resources
+	k.spare, k.prevSlots = k.prevSlots, slots
 
 	for iter := 0; iter < rateIterations; iter++ {
 		for _, f := range k.flows {
 			share := math.Inf(1)
-			for _, r := range f.path {
-				cap, perFlow := r.Evaluate()
+			for _, slot := range f.slots {
+				cap, perFlow := k.res[slot].Evaluate()
 				w := 0.0
-				for _, g := range flowsOn[r] {
+				for _, g := range lists[slot] {
 					w += g.Weight
 				}
 				if w < 1 {

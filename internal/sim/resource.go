@@ -14,13 +14,23 @@ import "math"
 // overheads lower PMEM contention" (paper §VIII) enters the model: a
 // rank that spends most of each operation in the software stack
 // contributes only fractionally to the device's effective concurrency.
+//
+// The kernel reuses its flow lists across rounds, and a round's result
+// depends only on what the resources see, so implementations keep two
+// rules. Evaluate is a pure function of the installed flows' Class and
+// Weight and of state that changes only in SetFlows. A list passed to
+// SetFlows stays valid, with unchanged contents, until the next
+// SetFlows call on the same resource; SetFlows may read the lists it
+// and resources coupled to it still hold (the PMEM device integrates
+// write pressure from both of its ports' lists) before installing its
+// own.
 type Resource interface {
 	// Name identifies the resource in traces and error messages.
 	Name() string
 	// SetFlows installs the flows currently routed through this
 	// resource. Called once per rate round; an empty slice clears a
 	// previously installed set. The slice must not be retained past the
-	// next SetFlows call.
+	// next SetFlows call, and must not be modified.
 	SetFlows(now float64, flows []*Flow)
 	// Evaluate returns the aggregate capacity (bytes/second) available
 	// to the installed flows and the per-flow stream cap (use
@@ -43,7 +53,7 @@ type Flow struct {
 
 	opBytes   float64 // payload bytes per operation (0: pure stream)
 	perOp     float64 // software seconds per operation
-	path      []Resource
+	slots     []int32 // the kernel's slot for each resource on the path
 	remaining float64 // payload bytes left
 	rate      float64 // payload bytes/second (includes software throttling)
 	device    float64 // device-allocated bytes/second while on-device
