@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -10,16 +11,16 @@ import (
 	"pmemsched/internal/core"
 )
 
-// The golden files pin the engine's interference-off output byte for
-// byte: the fluid reflow engine must be indistinguishable from the
-// original fixed-duration engine whenever the interference model is
-// disabled. Regenerate with
+// The golden files pin the engine's output byte for byte: the
+// interference-off ones hold the fluid reflow engine to the original
+// fixed-duration engine, and tiered_dram.json pins schedules with DRAM
+// modeled as a node resource. Regenerate with
 //
 //	go test ./internal/cluster -run Golden -update-golden
 //
 // only when an intentional output change lands (and say so in the
 // commit message).
-var updateGolden = flag.Bool("update-golden", false, "rewrite the interference-off golden files")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files")
 
 func goldenCompare(t *testing.T, name string, got []byte) {
 	t.Helper()
@@ -38,7 +39,7 @@ func goldenCompare(t *testing.T, name string, got []byte) {
 		t.Fatalf("reading golden %s (run with -update-golden to create): %v", path, err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("%s: interference-off output diverged from the golden bytes (%d vs %d bytes)", name, len(got), len(want))
+		t.Errorf("%s: output diverged from the golden bytes (%d vs %d bytes)", name, len(got), len(want))
 	}
 }
 
@@ -104,4 +105,46 @@ func TestGoldenSuitePMEMAware(t *testing.T) {
 		t.Fatal(err)
 	}
 	goldenCompare(t, "suite_pmem_aware.json", js.Bytes())
+}
+
+// TestGoldenTieredDRAM pins DRAM-modeled schedules: the tiered catalog
+// on nodes whose DRAM holds exactly the largest single demand, under
+// all five policies, with the interference model off and with
+// TieredInterference. Each entry's report must also differ from the
+// same run with DRAM unmodeled, so the golden keeps pinning fits that
+// the DRAM capacity declines.
+func TestGoldenTieredDRAM(t *testing.T) {
+	catalog, est := tieredCatalog()
+	tr, err := Synthetic(catalog, SyntheticConfig{Jobs: 12, MeanInterarrivalSeconds: 4, Seed: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type entry struct {
+		Policy       string          `json:"policy"`
+		Interference bool            `json:"interference"`
+		Report       json.RawMessage `json:"report"`
+	}
+	var entries []entry
+	binding := 0
+	for _, pol := range []Policy{FCFS(core.SLocW), EASY(core.SLocW), PMEMAware(),
+		EASYInterferenceAware(core.SLocW), PMEMAwareInterferenceAware()} {
+		for _, iv := range []Interference{{}, TieredInterference()} {
+			opt := Options{Nodes: 2, CoresPerSocket: 8, Policy: pol, Estimator: est,
+				DRAMBytesPerNode: tierNodeDRAM(), Interference: iv}
+			_, report := simulateReport(t, pol.Name(), tr, opt)
+			opt.DRAMBytesPerNode = 0
+			if _, unmodeled := simulateReport(t, pol.Name(), tr, opt); !bytes.Equal(report, unmodeled) {
+				binding++
+			}
+			entries = append(entries, entry{Policy: pol.Name(), Interference: iv.Enabled, Report: report})
+		}
+	}
+	if binding == 0 {
+		t.Fatal("no run schedules differently with DRAM unmodeled: the golden pins no DRAM decision")
+	}
+	got, err := json.MarshalIndent(entries, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenCompare(t, "tiered_dram.json", append(got, '\n'))
 }
