@@ -157,7 +157,7 @@ func (configCycler) Name() string { return "config-cycler" }
 func (configCycler) Schedule(ctx *SchedContext) ([]Placement, error) {
 	var placed []Placement
 	for _, j := range ctx.Queue {
-		node := ctx.FitsJob(j)
+		node := ctx.Fits(&j)
 		if node < 0 {
 			break
 		}

@@ -92,7 +92,7 @@ type RunningJob struct {
 
 // jobDRAMBytes returns the node DRAM the job holds resident under its
 // workflow's tier policy (zero for pmem-only jobs).
-func jobDRAMBytes(j Job) float64 {
+func jobDRAMBytes(j *Job) float64 {
 	return float64(j.Workflow.TierDRAMBytes())
 }
 
@@ -174,10 +174,12 @@ func (n *NodeView) fitsAt(t float64, ranks int, dram float64) bool {
 	return dram <= 0 || n.DRAMBytes <= 0 || n.DRAMFreeAt(t) >= dram
 }
 
-// EarliestFit returns the earliest time >= now at which ranks cores are
-// free, given the current residents and no further placements.
-func (n *NodeView) EarliestFit(now float64, ranks int) float64 {
-	if ranks > n.Cores {
+// EarliestFit returns the earliest time >= now at which ranks cores and
+// dram bytes are both free, given the current residents and no further
+// placements. A zero dram demand, or a node with DRAM unmodeled, asks
+// about cores alone.
+func (n *NodeView) EarliestFit(now float64, ranks int, dram float64) float64 {
+	if ranks > n.Cores || (dram > 0 && n.DRAMBytes > 0 && dram > n.DRAMBytes) {
 		return inf()
 	}
 	if n.Down {
@@ -188,41 +190,12 @@ func (n *NodeView) EarliestFit(now float64, ranks int) float64 {
 		}
 		return now
 	}
-	if n.FreeAt(now) >= ranks {
+	if n.fitsAt(now, ranks, dram) {
 		return now
 	}
 	// Capacity frees only at completion instants; scan them in time
 	// order. Running is small (<= Cores jobs), so the quadratic scan is
 	// fine.
-	best := inf()
-	for i := range n.Running {
-		r := &n.Running[i]
-		if r.EndSeconds > now && r.EndSeconds < best && n.FreeAt(r.EndSeconds) >= ranks {
-			best = r.EndSeconds
-		}
-	}
-	return best
-}
-
-// earliestFitDemand is EarliestFit with a DRAM demand alongside the
-// core count; it degrades to EarliestFit when the DRAM constraint is
-// inactive, so untiered paths are untouched.
-func (n *NodeView) earliestFitDemand(now float64, ranks int, dram float64) float64 {
-	if dram <= 0 || n.DRAMBytes <= 0 {
-		return n.EarliestFit(now, ranks)
-	}
-	if ranks > n.Cores || dram > n.DRAMBytes {
-		return inf()
-	}
-	if n.Down {
-		if up := n.UpSeconds; up > now {
-			return up
-		}
-		return now
-	}
-	if n.fitsAt(now, ranks, dram) {
-		return now
-	}
 	best := inf()
 	for i := range n.Running {
 		r := &n.Running[i]
@@ -385,49 +358,46 @@ func (c *SchedContext) AvoidNode(jobID int) int {
 	return c.avoid[jobID]
 }
 
-// Fits returns the lowest-ID node with enough free cores for ranks at
-// the current time, or -1. With the index available this is a bitset
-// probe instead of an all-nodes scan; the answers are identical
-// because a down node indexes as zero free cores and every resident's
-// end time is after Now (zero-duration residents force the fallback;
-// see ephemeral).
-func (c *SchedContext) Fits(ranks int) int {
-	if c.indexed() {
-		return c.idx.firstFit(ranks)
-	}
-	return c.fitsLinear(ranks, -1)
+// Fits returns the lowest-ID node with room for the job at the current
+// time, or -1: enough free cores and, for a job whose tier policy holds
+// node DRAM resident, enough free DRAM.
+func (c *SchedContext) Fits(j *Job) int {
+	return c.fit(j.Workflow.Ranks, jobDRAMBytes(j), -1)
 }
 
-// fitsExcept is Fits skipping one node ID (the failure-aware policies'
-// soft avoid constraint); skip < 0 skips nothing.
-func (c *SchedContext) fitsExcept(ranks, skip int) int {
-	if c.indexed() {
+// fit returns the lowest-ID node other than skip (skip < 0 skips
+// nothing) with ranks cores and dram bytes free at the current time, or
+// -1. A zero DRAM demand is a bitset probe of the index when it is
+// available; the answers are identical to the scan because a down node
+// indexes as zero free cores and every resident's end time is after Now
+// (zero-duration residents force the scan; see ephemeral). The index
+// knows only cores, so any DRAM demand takes the scan — exact, just not
+// O(1).
+func (c *SchedContext) fit(ranks int, dram float64, skip int) int {
+	if dram <= 0 && c.indexed() {
 		return c.idx.firstFitExcept(ranks, skip)
 	}
-	return c.fitsLinear(ranks, skip)
-}
-
-func (c *SchedContext) fitsLinear(ranks, skip int) int {
 	for _, n := range c.Nodes {
-		if n.ID != skip && n.FreeAt(c.Now) >= ranks {
+		if n.ID != skip && n.fitsAt(c.Now, ranks, dram) {
 			return n.ID
 		}
 	}
 	return -1
 }
 
-// eachFit calls yield for every node with room for ranks at the
-// current time in ascending ID order, skipping node ID skip (skip < 0
-// skips nothing); yield returning false stops the walk.
-func (c *SchedContext) eachFit(ranks, skip int, yield func(n *NodeView) bool) {
-	if c.indexed() {
+// eachFit calls yield for every node with ranks cores and dram bytes
+// free at the current time in ascending ID order, skipping node ID skip
+// (skip < 0 skips nothing); yield returning false stops the walk. Like
+// fit, only a zero DRAM demand walks the index.
+func (c *SchedContext) eachFit(ranks int, dram float64, skip int, yield func(n *NodeView) bool) {
+	if dram <= 0 && c.indexed() {
 		c.idx.eachFit(ranks, skip, func(id int) bool {
 			return yield(c.Nodes[id])
 		})
 		return
 	}
 	for _, n := range c.Nodes {
-		if n.ID == skip || n.FreeAt(c.Now) < ranks {
+		if n.ID == skip || !n.fitsAt(c.Now, ranks, dram) {
 			continue
 		}
 		if !yield(n) {
@@ -436,78 +406,21 @@ func (c *SchedContext) eachFit(ranks, skip int, yield func(n *NodeView) bool) {
 	}
 }
 
-// FitsJob is Fits for a concrete job: identical for untiered jobs, and
-// for jobs whose tier policy holds node DRAM resident it additionally
-// requires the DRAM demand to fit. The free-capacity index knows only
-// cores, so DRAM-demanding jobs always take the linear scan — exact,
-// just not O(1).
-func (c *SchedContext) FitsJob(j Job) int {
-	return c.fitsExceptJob(j, -1)
-}
-
-// fitsExceptJob is FitsJob skipping one node ID; skip < 0 skips
-// nothing.
-func (c *SchedContext) fitsExceptJob(j Job, skip int) int {
-	dram := jobDRAMBytes(j)
-	if dram <= 0 {
-		return c.fitsExcept(j.Workflow.Ranks, skip)
-	}
-	for _, n := range c.Nodes {
-		if n.ID != skip && n.fitsAt(c.Now, j.Workflow.Ranks, dram) {
-			return n.ID
-		}
-	}
-	return -1
-}
-
-// eachFitJob is eachFit for a concrete job, adding the DRAM demand
-// check for tiered jobs.
-func (c *SchedContext) eachFitJob(j Job, skip int, yield func(n *NodeView) bool) {
-	dram := jobDRAMBytes(j)
-	if dram <= 0 {
-		c.eachFit(j.Workflow.Ranks, skip, yield)
-		return
-	}
-	for _, n := range c.Nodes {
-		if n.ID == skip || !n.fitsAt(c.Now, j.Workflow.Ranks, dram) {
-			continue
-		}
-		if !yield(n) {
-			return
-		}
-	}
-}
-
-// EarliestFitJob is EarliestFit for a concrete job, honoring its DRAM
-// demand alongside its core count.
-func (c *SchedContext) EarliestFitJob(j Job) (float64, int) {
-	dram := jobDRAMBytes(j)
-	if dram <= 0 {
-		return c.EarliestFit(j.Workflow.Ranks)
-	}
-	best, bestNode := inf(), -1
-	for _, n := range c.Nodes {
-		if t := n.earliestFitDemand(c.Now, j.Workflow.Ranks, dram); t < best {
-			best, bestNode = t, n.ID
-		}
-	}
-	return best, bestNode
-}
-
-// EarliestFit returns the earliest (time, node) at which ranks cores
-// become free on some node, ties resolved to the lower node ID. When
-// something fits right now the index answers directly; the full scan
-// over resident end times runs only for a saturated cluster, where it
-// is unavoidable.
-func (c *SchedContext) EarliestFit(ranks int) (float64, int) {
-	if c.indexed() {
+// EarliestFit returns the earliest (time, node) at which the job's
+// cores and DRAM become free on some node, ties resolved to the lower
+// node ID. When a job without DRAM demand fits right now the index
+// answers directly; the full scan over resident end times runs only
+// for a saturated cluster, where it is unavoidable.
+func (c *SchedContext) EarliestFit(j *Job) (float64, int) {
+	ranks, dram := j.Workflow.Ranks, jobDRAMBytes(j)
+	if dram <= 0 && c.indexed() {
 		if id := c.idx.firstFit(ranks); id >= 0 {
 			return c.Now, id
 		}
 	}
 	best, bestNode := inf(), -1
 	for _, n := range c.Nodes {
-		if t := n.EarliestFit(c.Now, ranks); t < best {
+		if t := n.EarliestFit(c.Now, ranks, dram); t < best {
 			best, bestNode = t, n.ID
 		}
 	}
@@ -520,7 +433,7 @@ func (c *SchedContext) EarliestFit(ranks int) (float64, int) {
 // snapshot's demand accounting correct across multiple placements in
 // one pass.
 func (c *SchedContext) Place(job Job, node int, cfg core.Config, duration float64, prof JobProfile) Placement {
-	c.node(node).place(job.ID, job.Workflow.Ranks, c.Now+duration, jobDRAMBytes(job), prof)
+	c.node(node).place(job.ID, job.Workflow.Ranks, c.Now+duration, jobDRAMBytes(&job), prof)
 	if c.idx != nil {
 		if duration > 0 {
 			c.idx.place(node, job.Workflow.Ranks)
@@ -552,9 +465,6 @@ type Options struct {
 	// resource: tiered jobs place without a capacity check and the
 	// engine's output is byte-identical to the pre-tier semantics.
 	DRAMBytesPerNode float64
-	// SlowdownBoundSeconds is the bounded-slowdown runtime floor tau in
-	// max(1, (wait+run)/max(run, tau)); 0 selects the conventional 10s.
-	SlowdownBoundSeconds float64
 	// Interference is the cross-job PMEM contention model. The zero
 	// value disables it and the engine's output is byte-identical to
 	// the fixed-duration semantics; see DefaultInterference.

@@ -135,13 +135,13 @@ func (g *headGuard) Name() string { return g.inner.Name() }
 func (g *headGuard) Schedule(ctx *SchedContext) ([]Placement, error) {
 	before := 0.0
 	if len(ctx.Queue) > 0 {
-		before, _ = ctx.EarliestFit(ctx.Queue[0].Workflow.Ranks)
+		before, _ = ctx.EarliestFit(&ctx.Queue[0])
 	}
 	placed, err := g.inner.Schedule(ctx)
 	if err != nil || len(ctx.Queue) == 0 {
 		return placed, err
 	}
-	head := ctx.Queue[0]
+	head := &ctx.Queue[0]
 	for _, p := range placed {
 		if p.JobID == head.ID {
 			return placed, nil // the head started; nothing to guard
@@ -149,7 +149,7 @@ func (g *headGuard) Schedule(ctx *SchedContext) ([]Placement, error) {
 	}
 	// ctx.Nodes is the snapshot the policy recorded its placements on,
 	// so EarliestFit now reflects the pass's backfill decisions.
-	if after, _ := ctx.EarliestFit(head.Workflow.Ranks); after > before+1e-9 {
+	if after, _ := ctx.EarliestFit(head); after > before+1e-9 {
 		g.t.Errorf("%s: pass at t=%.3f delayed head job %d's reservation %.3f -> %.3f",
 			g.inner.Name(), ctx.Now, head.ID, before, after)
 	}

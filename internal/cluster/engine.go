@@ -182,7 +182,7 @@ func SimulateStream(src TraceSource, opt Options) (*Metrics, error) {
 // than any node has (it could never be placed), mirroring the
 // ranks-per-socket check. Inactive when DRAM is unmodeled (capacity 0).
 func checkJobDRAM(j Job, capacity float64) error {
-	if demand := jobDRAMBytes(j); capacity > 0 && demand > capacity {
+	if demand := jobDRAMBytes(&j); capacity > 0 && demand > capacity {
 		return fmt.Errorf("cluster: job %d (%s) holds %g DRAM bytes resident but nodes have %g",
 			j.ID, j.Workflow.Name, demand, capacity)
 	}
@@ -374,7 +374,7 @@ func (e *engine) commit(placements []Placement) error {
 			return fmt.Errorf("cluster: policy %s overcommitted node %d with job %d (%d ranks, %d cores free)",
 				name, pl.Node, pl.JobID, ranks, n.FreeAt(e.now))
 		}
-		dram := jobDRAMBytes(st.job)
+		dram := jobDRAMBytes(&st.job)
 		if dram > 0 && n.DRAMBytes > 0 && n.DRAMFreeAt(e.now) < dram {
 			return fmt.Errorf("cluster: policy %s overcommitted node %d DRAM with job %d (%g bytes demanded, %g free)",
 				name, pl.Node, pl.JobID, dram, n.DRAMFreeAt(e.now))
@@ -526,7 +526,7 @@ func simulate(src jobSource, opt Options, cores int) (*Metrics, error) {
 		e.faults.start(opt.Nodes, &e.events)
 	}
 
-	m := newMetrics(opt.Policy.Name(), opt.Nodes, cores, opt.SlowdownBoundSeconds, e.iv.Enabled, opt.Faults.Enabled, opt.Fleet)
+	m := newMetrics(opt.Policy.Name(), opt.Nodes, cores, e.iv.Enabled, opt.Faults.Enabled, opt.Fleet)
 	e.m = m
 	for {
 		head, ok := e.events.peek()

@@ -185,12 +185,14 @@ func TieredInterference() Interference {
 	return iv
 }
 
-// overloadFactor returns how far the socket's combined demand exceeds
-// its budgets (>= 1): the factor by which I/O through that socket's
-// PMEM dilates. Reads and writes are budgeted independently — the
-// device serves them from different envelopes — and the binding one
-// governs, since the streaming channel advances at the slower side.
-func (iv Interference) overloadFactor(read, write float64) float64 {
+// overload returns how far the socket's combined demand exceeds its
+// budgets (>= 1): the factor by which I/O through that socket dilates.
+// Reads and writes are budgeted independently — the device serves them
+// from different envelopes — and the binding one governs, since the
+// streaming channel advances at the slower side. The DRAM envelope
+// counts only when its budgets are set: a zero DRAM budget exempts that
+// side entirely, so untiered models compute the PMEM-only factor.
+func (iv Interference) overload(read, write, dramRead, dramWrite float64) float64 {
 	f := 1.0
 	if r := read / iv.ReadBandwidthPerSocket; r > f {
 		f = r
@@ -198,15 +200,6 @@ func (iv Interference) overloadFactor(read, write float64) float64 {
 	if w := write / iv.WriteBandwidthPerSocket; w > f {
 		f = w
 	}
-	return f
-}
-
-// overloadAll is overloadFactor across both tiers: the PMEM envelope
-// plus, when the DRAM budgets are set, the DRAM envelope. A zero DRAM
-// budget exempts that side entirely, so untiered models compute the
-// exact same factor as before.
-func (iv Interference) overloadAll(read, write, dramRead, dramWrite float64) float64 {
-	f := iv.overloadFactor(read, write)
 	if iv.DRAMReadBandwidthPerSocket > 0 {
 		if r := dramRead / iv.DRAMReadBandwidthPerSocket; r > f {
 			f = r
@@ -230,54 +223,35 @@ func (iv Interference) rate(p JobProfile, factor float64) float64 {
 	return 1 / ((1 - p.IOFraction) + p.IOFraction*factor)
 }
 
-// socketDemand sums the resident jobs' demand on one socket's PMEM.
-func (n *NodeView) socketDemand(socket int) (read, write float64) {
-	for _, r := range n.Running {
-		if r.Profile.DeviceSocket == socket {
-			read += r.Profile.ReadBytesPerSecond
-			write += r.Profile.WriteBytesPerSecond
+// socketDemand sums the resident jobs' demand on one socket: PMEM read
+// and write, then the tier's DRAM read and write.
+func (n *NodeView) socketDemand(socket int) (read, write, dramRead, dramWrite float64) {
+	for i := range n.Running {
+		p := &n.Running[i].Profile
+		if p.DeviceSocket == socket {
+			read += p.ReadBytesPerSecond
+			write += p.WriteBytesPerSecond
+			dramRead += p.DRAMReadBytesPerSecond
+			dramWrite += p.DRAMWriteBytesPerSecond
 		}
 	}
-	return read, write
-}
-
-// socketDRAMDemand sums the resident jobs' tier demand on one socket's
-// DRAM.
-func (n *NodeView) socketDRAMDemand(socket int) (read, write float64) {
-	for _, r := range n.Running {
-		if r.Profile.DeviceSocket == socket {
-			read += r.Profile.DRAMReadBytesPerSecond
-			write += r.Profile.DRAMWriteBytesPerSecond
-		}
-	}
-	return read, write
+	return read, write, dramRead, dramWrite
 }
 
 // OverloadAfter returns the overload factor the job's device socket
 // would reach if the job joined the node's residents: the score the
 // interference-aware policies minimize when several nodes fit.
 func (n *NodeView) OverloadAfter(iv Interference, p JobProfile) float64 {
-	read, write := n.socketDemand(p.DeviceSocket)
-	dread, dwrite := n.socketDRAMDemand(p.DeviceSocket)
-	return iv.overloadAll(read+p.ReadBytesPerSecond, write+p.WriteBytesPerSecond,
+	read, write, dread, dwrite := n.socketDemand(p.DeviceSocket)
+	return iv.overload(read+p.ReadBytesPerSecond, write+p.WriteBytesPerSecond,
 		dread+p.DRAMReadBytesPerSecond, dwrite+p.DRAMWriteBytesPerSecond)
 }
 
-// rateOn returns the current progress rate of a resident profile on the
-// node under the model.
-func (n *NodeView) rateOn(iv Interference, p JobProfile) float64 {
-	read, write := n.socketDemand(p.DeviceSocket)
-	dread, dwrite := n.socketDRAMDemand(p.DeviceSocket)
-	return iv.rate(p, iv.overloadAll(read, write, dread, dwrite))
-}
-
-// socketRates returns a per-profile rate function that computes each
-// socket's demand and overload factor at most once per node instead of
-// once per resident — rateOn is O(residents) per call, so reflowing a
-// whole node through it is O(residents²). The cached factor feeds the
-// same overloadFactor/rate arithmetic as rateOn, so the returned rates
-// are bit-identical to per-resident rateOn calls; the caller must not
-// change the residency set between calls.
+// socketRates returns a per-profile rate function for the node's
+// residents that computes each socket's demand and overload factor at
+// most once per node instead of once per resident, so reflowing a node
+// stays O(residents). The caller must not change the residency set
+// between calls.
 func (n *NodeView) socketRates(iv Interference) func(p JobProfile) float64 {
 	cached := [2]struct {
 		socket int
@@ -286,9 +260,7 @@ func (n *NodeView) socketRates(iv Interference) func(p JobProfile) float64 {
 	return func(p JobProfile) float64 {
 		c := &cached[p.DeviceSocket&1]
 		if c.socket != p.DeviceSocket {
-			read, write := n.socketDemand(p.DeviceSocket)
-			dread, dwrite := n.socketDRAMDemand(p.DeviceSocket)
-			c.factor = iv.overloadAll(read, write, dread, dwrite)
+			c.factor = iv.overload(n.socketDemand(p.DeviceSocket))
 			c.socket = p.DeviceSocket
 		}
 		return iv.rate(p, c.factor)

@@ -17,10 +17,10 @@ func ivTestModel() Interference {
 
 func TestOverloadFactorAndRate(t *testing.T) {
 	iv := ivTestModel()
-	if f := iv.overloadFactor(5e9, 10e9); f != 1 {
+	if f := iv.overload(5e9, 10e9, 0, 0); f != 1 {
 		t.Errorf("under budget: factor %g, want 1", f)
 	}
-	if f := iv.overloadFactor(0, 30e9); math.Abs(f-2) > 1e-12 {
+	if f := iv.overload(0, 30e9, 0, 0); math.Abs(f-2) > 1e-12 {
 		t.Errorf("write 2x over budget: factor %g, want 2", f)
 	}
 	// A pure-compute profile never dilates, whatever the factor.
@@ -215,10 +215,10 @@ func TestEarliestFitAfterMultipleCompletions(t *testing.T) {
 	n := &NodeView{ID: 0, Cores: 6}
 	n.place(0, 4, 10, 0, JobProfile{})
 	n.place(1, 2, 6, 0, JobProfile{})
-	if got := n.EarliestFit(1, 6); got != 10 {
+	if got := n.EarliestFit(1, 6, 0); got != 10 {
 		t.Errorf("EarliestFit = %g, want 10", got)
 	}
-	if got := n.EarliestFit(1, 2); got != 6 {
+	if got := n.EarliestFit(1, 2, 0); got != 6 {
 		t.Errorf("EarliestFit(2 ranks) = %g, want 6", got)
 	}
 }

@@ -10,8 +10,9 @@ import (
 )
 
 // DefaultSlowdownBoundSeconds is the conventional bounded-slowdown
-// runtime floor (Feitelson's tau = 10s): shorter jobs do not inflate
-// the slowdown metric just by being short.
+// runtime floor, Feitelson's tau = 10s in max(1, (wait+run)/max(run,
+// tau)): shorter jobs do not inflate the slowdown metric just by being
+// short.
 const DefaultSlowdownBoundSeconds = 10 * units.Second
 
 // JobRecord is the per-job outcome of a cluster simulation.
@@ -104,7 +105,6 @@ type Metrics struct {
 	policy       string
 	nodes        int
 	cores        int
-	bound        float64
 	interference bool
 	faults       bool
 	dedup        bool      // drop consecutive identical utilization samples
@@ -115,15 +115,11 @@ type Metrics struct {
 	summary      Summary
 }
 
-func newMetrics(policy string, nodes, cores int, bound float64, interference, faults bool, fleet FleetOptions) *Metrics {
-	if bound <= 0 {
-		bound = DefaultSlowdownBoundSeconds
-	}
+func newMetrics(policy string, nodes, cores int, interference, faults bool, fleet FleetOptions) *Metrics {
 	return &Metrics{
 		policy:       policy,
 		nodes:        nodes,
 		cores:        cores,
-		bound:        bound,
 		interference: interference,
 		faults:       faults,
 		dedup:        fleet.DedupSamples,
@@ -224,8 +220,8 @@ func (m *Metrics) record(st *jobState) {
 		run = 0
 	}
 	floor := run
-	if floor < m.bound {
-		floor = m.bound
+	if floor < DefaultSlowdownBoundSeconds {
+		floor = DefaultSlowdownBoundSeconds
 	}
 	bsld := turnaround / floor
 	if bsld < 1 {

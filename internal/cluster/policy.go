@@ -138,58 +138,58 @@ func (p *listPolicy) profile(ctx *SchedContext, j *Job, cfg core.Config) (JobPro
 // no capacity at all; this soft constraint extends the avoidance
 // through the repair, when the job may still be waiting out its
 // backoff) unless no other node fits. Returns -1 when no node fits.
-func (p *listPolicy) pick(ctx *SchedContext, j Job, prof JobProfile) int {
+func (p *listPolicy) pick(ctx *SchedContext, j *Job, prof JobProfile) int {
+	ranks, dram := j.Workflow.Ranks, jobDRAMBytes(j)
 	if !p.aware {
-		return ctx.FitsJob(j)
+		return ctx.fit(ranks, dram, -1)
 	}
 	if !ctx.Model.Enabled {
 		// No interference model: still avoid the failed node, preferring
 		// the lowest-ID alternative, with first fit as the fallback.
 		if away := ctx.AvoidNode(j.ID); away >= 0 {
-			if id := ctx.fitsExceptJob(j, away); id >= 0 {
+			if id := ctx.fit(ranks, dram, away); id >= 0 {
 				return id
 			}
 		}
-		return ctx.FitsJob(j)
+		return ctx.fit(ranks, dram, -1)
 	}
-	pickBy := func(skip int) (int, float64) {
+	pickBy := func(skip int) int {
 		best, bestScore := -1, inf()
-		ctx.eachFitJob(j, skip, func(n *NodeView) bool {
+		ctx.eachFit(ranks, dram, skip, func(n *NodeView) bool {
 			if score := n.OverloadAfter(ctx.Model, prof); score < bestScore {
 				best, bestScore = n.ID, score
 			}
 			return true
 		})
-		return best, bestScore
+		return best
 	}
 	if away := ctx.AvoidNode(j.ID); away >= 0 {
-		if best, _ := pickBy(away); best >= 0 {
+		if best := pickBy(away); best >= 0 {
 			return best
 		}
 	}
-	best, _ := pickBy(-1)
-	return best
+	return pickBy(-1)
 }
 
 func (p *listPolicy) Schedule(ctx *SchedContext) ([]Placement, error) {
 	var placed []Placement
 	queue := ctx.Queue
 	for len(queue) > 0 {
-		head := queue[0]
-		cfg, err := p.config(ctx, &head)
+		head := &queue[0]
+		cfg, err := p.config(ctx, head)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %s: configuring job %d (%s): %w", p.name, head.ID, head.Workflow.Name, err)
 		}
-		prof, err := p.profile(ctx, &head, cfg)
+		prof, err := p.profile(ctx, head, cfg)
 		if err != nil {
 			return nil, err
 		}
 		if node := p.pick(ctx, head, prof); node >= 0 {
-			dur, err := ctx.estimate(&head, cfg)
+			dur, err := ctx.estimate(head, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("cluster: %s: estimating job %d (%s): %w", p.name, head.ID, head.Workflow.Name, err)
 			}
-			placed = append(placed, ctx.Place(head, node, cfg, dur, prof))
+			placed = append(placed, ctx.Place(*head, node, cfg, dur, prof))
 			queue = queue[1:]
 			continue
 		}
@@ -212,8 +212,8 @@ func (p *listPolicy) Schedule(ctx *SchedContext) ([]Placement, error) {
 // delay it: a job may backfill if it fits now and either finishes
 // before the reservation, runs on a different node, or leaves the
 // reserved node with enough cores at the reservation time.
-func (p *listPolicy) backfillBehind(ctx *SchedContext, head Job, rest []Job) ([]Placement, error) {
-	shadow, reserved := ctx.EarliestFitJob(head)
+func (p *listPolicy) backfillBehind(ctx *SchedContext, head *Job, rest []Job) ([]Placement, error) {
+	shadow, reserved := ctx.EarliestFit(head)
 	if reserved < 0 {
 		return nil, fmt.Errorf("cluster: %s: job %d (%s) needs %d ranks but no node can ever fit it",
 			p.name, head.ID, head.Workflow.Name, head.Workflow.Ranks)
@@ -239,12 +239,12 @@ func (p *listPolicy) backfillBehind(ctx *SchedContext, head Job, rest []Job) ([]
 		if j.Workflow.Ranks >= blocked {
 			continue
 		}
-		node := p.pick(ctx, *j, prof)
+		node := p.pick(ctx, j, prof)
 		if node < 0 {
 			// A tiered job may be short of DRAM only, and the aware pick
 			// can decline a fitting node (an overload score at the no-fit
 			// sentinel), so confirm that no node has the cores.
-			if ctx.Fits(j.Workflow.Ranks) < 0 {
+			if ctx.fit(j.Workflow.Ranks, 0, -1) < 0 {
 				blocked = j.Workflow.Ranks
 			}
 			continue
@@ -255,7 +255,7 @@ func (p *listPolicy) backfillBehind(ctx *SchedContext, head Job, rest []Job) ([]
 		}
 		end := ctx.Now + dur
 		// Would this placement still leave the head's reservation intact?
-		if end > shadow && node == reserved && !reservationIntact(ctx.Nodes[reserved], shadow, head, *j) {
+		if end > shadow && node == reserved && !reservationIntact(ctx.Nodes[reserved], shadow, head, j) {
 			continue
 		}
 		placed = append(placed, ctx.Place(*j, node, cfg, dur, prof))
@@ -267,7 +267,7 @@ func (p *listPolicy) backfillBehind(ctx *SchedContext, head Job, rest []Job) ([]
 // shadow time survives the backfill job j still running then on the
 // reserved node: enough cores, and — when the head holds DRAM resident
 // on a DRAM-modeled cluster — enough DRAM too.
-func reservationIntact(n *NodeView, shadow float64, head, j Job) bool {
+func reservationIntact(n *NodeView, shadow float64, head, j *Job) bool {
 	if n.FreeAt(shadow)-j.Workflow.Ranks < head.Workflow.Ranks {
 		return false
 	}

@@ -17,7 +17,6 @@ type Proc struct {
 	stage    Stage
 	stageEnd float64 // for Compute: absolute completion time
 	flow     *Flow   // for Transfer
-	waitC    *Cond   // for Wait
 	waitV    int64
 	done     bool
 	endTime  float64
@@ -229,7 +228,6 @@ func (k *Kernel) advanceProc(p *Proc) {
 				continue
 			}
 			p.stage = st
-			p.waitC = st.C
 			p.waitV = st.Target
 			p.beginAt(st.Tag, k.now)
 			return
@@ -511,7 +509,6 @@ func (p *Proc) finishStage(now float64) {
 	}
 	p.charge(p.tag, elapsed)
 	p.stage = nil
-	p.waitC = nil
 	p.tag = ""
 	p.charges = nil
 }

@@ -194,42 +194,31 @@ func buildPhase(cfg CompileConfig, kind sim.OpKind, pop ObjectSpec, group, sub i
 }
 
 // planPhases prepares the per-iteration I/O phases for the component
-// under the given role and placement, all against PMEM — the paper's
-// baseline and the compile target of every pre-tier program.
-func planPhases(cfg CompileConfig, kind sim.OpKind) []ioPhase {
+// under the given role and placement, with populations split between
+// the DRAM tier and PMEM under a per-rank DRAM budget, in declaration
+// order (the same walk as TierSplit). A zero budget compiles the
+// paper's all-PMEM baseline. A population that splits yields a DRAM
+// sub-phase (sub 0) and a PMEM spill sub-phase (sub 1); unsplit
+// populations keep sub 0, so their channel object IDs match the
+// baseline's.
+func planPhases(cfg CompileConfig, kind sim.OpKind, budget int64) []ioPhase {
 	var out []ioPhase
 	for g, pop := range cfg.Component.Objects {
-		out = append(out, buildPhase(cfg, kind, pop, g, 0, platform.TierPMEM))
-	}
-	return out
-}
-
-// planSplitPhases prepares phases with populations split between the
-// DRAM tier and PMEM under the tier spec's per-rank budget, in
-// declaration order (the same walk as TierSplit). A population that
-// splits yields a DRAM sub-phase (sub 0) and a PMEM spill sub-phase
-// (sub 1); unsplit populations keep sub 0, so their channel object IDs
-// match the baseline's.
-func planSplitPhases(cfg CompileConfig, kind sim.OpKind) []ioPhase {
-	e := cfg.Tier.withDefaults()
-	remaining := e.DRAMBytesPerRank
-	var out []ioPhase
-	for g, pop := range cfg.Component.Objects {
-		if remaining <= 0 || pop.Bytes <= 0 {
+		if budget <= 0 || pop.Bytes <= 0 {
 			out = append(out, buildPhase(cfg, kind, pop, g, 0, platform.TierPMEM))
 			continue
 		}
-		fit := remaining / pop.Bytes
+		fit := budget / pop.Bytes
 		switch {
 		case fit >= int64(pop.CountPerRank):
 			out = append(out, buildPhase(cfg, kind, pop, g, 0, platform.TierDRAM))
-			remaining -= pop.Bytes * int64(pop.CountPerRank)
+			budget -= pop.Bytes * int64(pop.CountPerRank)
 		case fit > 0:
 			dram := ObjectSpec{Bytes: pop.Bytes, CountPerRank: int(fit)}
 			spill := ObjectSpec{Bytes: pop.Bytes, CountPerRank: pop.CountPerRank - int(fit)}
 			out = append(out, buildPhase(cfg, kind, dram, g, 0, platform.TierDRAM))
 			out = append(out, buildPhase(cfg, kind, spill, g, 1, platform.TierPMEM))
-			remaining = 0
+			budget = 0
 		default:
 			out = append(out, buildPhase(cfg, kind, pop, g, 0, platform.TierPMEM))
 		}
@@ -276,31 +265,17 @@ func (pl phasePlan) phases(iter int) []ioPhase {
 
 // planTiered builds the component's phase plan under its tier policy.
 func planTiered(cfg CompileConfig, kind sim.OpKind) phasePlan {
-	never := cfg.Iterations + 1
-	if !cfg.Tier.Enabled() {
-		return phasePlan{cold: planPhases(cfg, kind), switchIter: never}
-	}
+	pl := phasePlan{switchIter: cfg.Iterations + 1}
 	e := cfg.Tier.withDefaults()
-	switch e.Policy {
-	case TierDRAMFirstSpill:
-		return phasePlan{cold: planSplitPhases(cfg, kind), switchIter: never}
-	case TierWriteStageDrain:
-		if kind == sim.Write {
-			return phasePlan{cold: planStagePhases(cfg), switchIter: never}
-		}
-		// Readers consume the drained copy from PMEM: exactly the
-		// baseline phases, gated by the drain's version conds.
-		return phasePlan{cold: planPhases(cfg, kind), switchIter: never}
-	case TierHotPromote:
-		if e.PromoteAfterIterations >= cfg.Iterations {
-			// Promotion would never fire: degenerate to pmem-only.
-			return phasePlan{cold: planPhases(cfg, kind), switchIter: never}
-		}
-		pl := phasePlan{
-			cold:       planPhases(cfg, kind),
-			hot:        planSplitPhases(cfg, kind),
-			switchIter: e.PromoteAfterIterations,
-		}
+	switch {
+	case e.Policy == TierDRAMFirstSpill:
+		pl.cold = planPhases(cfg, kind, e.DRAMBytesPerRank)
+	case e.Policy == TierWriteStageDrain && kind == sim.Write:
+		pl.cold = planStagePhases(cfg)
+	case e.Policy == TierHotPromote && e.PromoteAfterIterations < cfg.Iterations:
+		pl.cold = planPhases(cfg, kind, 0)
+		pl.hot = planPhases(cfg, kind, e.DRAMBytesPerRank)
+		pl.switchIter = e.PromoteAfterIterations
 		if kind == sim.Write {
 			var perRank int64
 			for _, pop := range cfg.Component.Objects {
@@ -308,9 +283,13 @@ func planTiered(cfg CompileConfig, kind sim.OpKind) phasePlan {
 			}
 			pl.migrateBytes = float64(e.tierResidentPerRank(perRank))
 		}
-		return pl
+	default:
+		// The baseline: pmem-only, write-stage-drain's readers (they
+		// consume the drained copy from PMEM, gated by the drain's version
+		// conds), and hot-promote when promotion would never fire.
+		pl.cold = planPhases(cfg, kind, 0)
 	}
-	return phasePlan{cold: planPhases(cfg, kind), switchIter: never}
+	return pl
 }
 
 // jitteredCompute returns the component's per-iteration compute time
