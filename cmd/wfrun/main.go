@@ -7,15 +7,19 @@
 //	wfrun -workflow gtc+readonly -ranks 16                 # all configs
 //	wfrun -workflow micro-2k -ranks 24 -config S-LocR      # one config
 //	wfrun -list                                            # list workflows
+//
+// Exit codes: 0 success, 1 runtime failure, 2 usage error (bad flags or
+// flag combinations, rejected before any simulation runs).
 package main
 
 import (
 	"flag"
-	"fmt"
+	"io"
 	"os"
 	"sort"
 
 	"pmemsched"
+	"pmemsched/internal/cli"
 	"pmemsched/internal/units"
 )
 
@@ -33,13 +37,25 @@ var factories = map[string]func(int) pmemsched.Workflow{
 }
 
 func main() {
-	name := flag.String("workflow", "", "workflow name (see -list)")
-	specPath := flag.String("spec", "", "JSON workflow spec file (alternative to -workflow)")
-	ranks := flag.Int("ranks", 16, "ranks per component (8, 16 or 24 in the paper)")
-	config := flag.String("config", "", "configuration label (default: all four)")
-	list := flag.Bool("list", false, "list workflow names and exit")
-	tracePath := flag.String("trace", "", "write a Chrome trace-viewer timeline of the (single-config) run to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("wfrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	name := fs.String("workflow", "", "workflow name (see -list)")
+	specPath := fs.String("spec", "", "JSON workflow spec file (alternative to -workflow)")
+	ranks := fs.Int("ranks", 16, "ranks per component (8, 16 or 24 in the paper)")
+	config := fs.String("config", "", "configuration label (default: all four)")
+	list := fs.Bool("list", false, "list workflow names and exit")
+	tracePath := fs.String("trace", "", "write a Chrome trace-viewer timeline of the (single-config) run to this file")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		cli.Sayf(stderr, "wfrun: unexpected arguments: %v\n", fs.Args())
+		return 2
+	}
 
 	if *list {
 		names := make([]string, 0, len(factories))
@@ -48,29 +64,33 @@ func main() {
 		}
 		sort.Strings(names)
 		for _, n := range names {
-			fmt.Println(n)
+			cli.Sayln(stdout, n)
 		}
-		return
+		return 0
+	}
+	if *name != "" && *specPath != "" {
+		cli.Sayln(stderr, "wfrun: -workflow and -spec are alternatives; pick one")
+		return 2
 	}
 	var wf pmemsched.Workflow
 	if *specPath != "" {
 		f, err := os.Open(*specPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "wfrun:", err)
-			os.Exit(2)
+			cli.Sayln(stderr, "wfrun:", err)
+			return 2
 		}
 		wf, err = pmemsched.ReadWorkflow(f)
 		//pmemlint:ignore errflow read-only file; decode errors are checked, a close error cannot lose data
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "wfrun:", err)
-			os.Exit(2)
+			cli.Sayln(stderr, "wfrun:", err)
+			return 2
 		}
 	} else {
 		mk, ok := factories[*name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "wfrun: unknown workflow %q (use -list or -spec)\n", *name)
-			os.Exit(2)
+			cli.Sayf(stderr, "wfrun: unknown workflow %q (use -list or -spec)\n", *name)
+			return 2
 		}
 		wf = mk(*ranks)
 	}
@@ -82,59 +102,65 @@ func main() {
 	} else {
 		c, err := pmemsched.ParseConfig(*config)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "wfrun:", err)
-			os.Exit(2)
+			cli.Sayln(stderr, "wfrun:", err)
+			return 2
 		}
 		configs = []pmemsched.Config{c}
 	}
 
 	if *tracePath != "" && len(configs) != 1 {
-		fmt.Fprintln(os.Stderr, "wfrun: -trace requires a single -config")
-		os.Exit(2)
+		cli.Sayln(stderr, "wfrun: -trace requires a single -config")
+		return 2
 	}
-	fmt.Printf("workflow %s (%s total through PMEM)\n", wf, units.FormatBytes(wf.TotalBytes()))
+	cli.Sayf(stdout, "workflow %s (%s total through PMEM)\n", wf, units.FormatBytes(wf.TotalBytes()))
 	var results []pmemsched.Result
 	for _, cfg := range configs {
 		res, tracer, err := pmemsched.RunWithTrace(wf, cfg, env, *tracePath != "")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "wfrun:", err)
-			os.Exit(1)
+			cli.Sayln(stderr, "wfrun:", err)
+			return 1
 		}
 		if tracer != nil {
-			f, err := os.Create(*tracePath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "wfrun:", err)
-				os.Exit(1)
+			if err := writeTrace(*tracePath, tracer); err != nil {
+				cli.Sayln(stderr, "wfrun:", err)
+				return 1
 			}
-			if err := tracer.WriteChromeTrace(f); err != nil {
-				fmt.Fprintln(os.Stderr, "wfrun:", err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "wfrun:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("timeline written to %s (%d events)\n", *tracePath, len(tracer.Events))
+			cli.Sayf(stdout, "timeline written to %s (%d events)\n", *tracePath, len(tracer.Events))
 		}
 		results = append(results, res)
 		if cfg.Mode == pmemsched.Serial {
-			fmt.Printf("  %-7s total %9s  (writer %s + reader %s)\n",
+			cli.Sayf(stdout, "  %-7s total %9s  (writer %s + reader %s)\n",
 				cfg.Label(), units.FormatSeconds(res.TotalSeconds),
 				units.FormatSeconds(res.WriterSplit), units.FormatSeconds(res.ReaderSplit))
 		} else {
-			fmt.Printf("  %-7s total %9s  (writers end %s)\n",
+			cli.Sayf(stdout, "  %-7s total %9s  (writers end %s)\n",
 				cfg.Label(), units.FormatSeconds(res.TotalSeconds),
 				units.FormatSeconds(res.WriterEnd))
 		}
-		fmt.Printf("          writer: compute %s, software %s, device %s\n",
+		cli.Sayf(stdout, "          writer: compute %s, software %s, device %s\n",
 			units.FormatSeconds(res.Writer.Compute), units.FormatSeconds(res.Writer.SW),
 			units.FormatSeconds(res.Writer.IO))
-		fmt.Printf("          reader: compute %s, software %s, device %s, waiting %s\n",
+		cli.Sayf(stdout, "          reader: compute %s, software %s, device %s, waiting %s\n",
 			units.FormatSeconds(res.Reader.Compute), units.FormatSeconds(res.Reader.SW),
 			units.FormatSeconds(res.Reader.IO), units.FormatSeconds(res.Reader.Wait+res.Reader.Gate))
 	}
 	if len(results) > 1 {
 		best := pmemsched.Best(results)
-		fmt.Printf("best: %s (%s)\n", best.Config.Label(), units.FormatSeconds(best.TotalSeconds))
+		cli.Sayf(stdout, "best: %s (%s)\n", best.Config.Label(), units.FormatSeconds(best.TotalSeconds))
 	}
+	return 0
+}
+
+// writeTrace writes the run's timeline to path in the Chrome
+// trace-viewer format.
+func writeTrace(path string, tracer *pmemsched.Tracer) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = tracer.WriteChromeTrace(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -15,7 +15,7 @@ func runFlows(t *testing.T, m *Machine, n int, a Access, bytes float64) float64 
 	k := sim.New()
 	for i := 0; i < n; i++ {
 		path, class, _ := m.Path(a)
-		k.Spawn("f", sim.Sequence(sim.Transfer{
+		k.Spawn("f", sim.Sequence(&sim.Transfer{
 			Bytes: bytes, Path: path, Class: class, Tag: "io",
 		}))
 	}
@@ -61,7 +61,7 @@ func TestWritesSeparateDevices(t *testing.T) {
 	k := sim.New()
 	spawn := func(a Access) {
 		path, class, _ := m.Path(a)
-		k.Spawn("w", sim.Sequence(sim.Transfer{
+		k.Spawn("w", sim.Sequence(&sim.Transfer{
 			Bytes: 512 * float64(units.MiB), Path: path, Class: class, Tag: "io",
 		}))
 	}
@@ -92,7 +92,7 @@ func TestDRAMSharedWithinSocket(t *testing.T) {
 		if dev == 1 {
 			path, class, _ = m.Path(Access{From: 0, Device: 1, Kind: sim.Read, Bytes: 64 * units.MiB})
 		}
-		k.Spawn("r", sim.Sequence(sim.Transfer{Bytes: perFlow, Path: path, Class: class, Tag: "io"}))
+		k.Spawn("r", sim.Sequence(&sim.Transfer{Bytes: perFlow, Path: path, Class: class, Tag: "io"}))
 	}
 	end, err := k.Run()
 	if err != nil {

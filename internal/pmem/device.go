@@ -68,7 +68,7 @@ func (d *Device) advance(now float64) {
 	}
 	dt := now - d.lastT
 	d.lastT = now
-	occ := math.Min(1, d.load().Writes()/d.model.WriteScaleOps)
+	occ := min(1, d.load().Writes()/d.model.WriteScaleOps)
 	alpha := 1 - math.Exp(-dt/d.model.PressureTau)
 	d.pressure += (occ - d.pressure) * alpha
 }
@@ -119,8 +119,7 @@ func (p *readPort) SetFlows(now float64, flows []*sim.Flow) {
 }
 
 func (p *readPort) Evaluate() (float64, float64) {
-	caps := p.d.model.Caps(p.d.load(), p.d.pressure)
-	return caps.Read, p.d.model.ReadPerFlowMax
+	return p.d.model.ReadCap(p.d.load(), p.d.pressure), p.d.model.ReadPerFlowMax
 }
 
 type writePort struct{ d *Device }
@@ -133,8 +132,7 @@ func (p *writePort) SetFlows(now float64, flows []*sim.Flow) {
 }
 
 func (p *writePort) Evaluate() (float64, float64) {
-	caps := p.d.model.Caps(p.d.load(), p.d.pressure)
-	return caps.Write, p.d.model.WritePerFlowMax
+	return p.d.model.WriteCap(p.d.load(), p.d.pressure), p.d.model.WritePerFlowMax
 }
 
 var (

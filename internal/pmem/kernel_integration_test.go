@@ -26,11 +26,11 @@ func writerProg(d *Device, compute float64, bytes float64, iters int) sim.Progra
 				if compute == 0 {
 					continue
 				}
-				return sim.Compute{Seconds: compute, Tag: "c"}
+				return &sim.Compute{Seconds: compute, Tag: "c"}
 			default:
 				st = 0
 				i++
-				return sim.Transfer{
+				return &sim.Transfer{
 					Bytes: bytes,
 					Path:  []sim.Resource{d.WritePort()},
 					Class: sim.FlowClass{Kind: sim.Write, AccessSize: 64 * units.MiB},
@@ -91,7 +91,7 @@ func TestDevicePortsUnderContention(t *testing.T) {
 		d := NewDevice("pmem0", Gen1Optane())
 		k := sim.New()
 		for r := 0; r < 16; r++ {
-			k.Spawn("w", sim.Sequence(sim.Transfer{
+			k.Spawn("w", sim.Sequence(&sim.Transfer{
 				Bytes: 256 * float64(units.MiB),
 				Path:  []sim.Resource{d.WritePort()},
 				Class: sim.FlowClass{Kind: sim.Write, AccessSize: 64 * units.MiB},
@@ -100,7 +100,7 @@ func TestDevicePortsUnderContention(t *testing.T) {
 		}
 		if withReads {
 			for r := 0; r < 16; r++ {
-				k.Spawn("r", sim.Sequence(sim.Transfer{
+				k.Spawn("r", sim.Sequence(&sim.Transfer{
 					Bytes: 256 * float64(units.MiB),
 					Path:  []sim.Resource{d.ReadPort()},
 					Class: sim.FlowClass{Kind: sim.Read, AccessSize: 64 * units.MiB},

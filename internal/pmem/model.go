@@ -327,24 +327,29 @@ type Caps struct {
 // Caps evaluates the capacity model for a weighted load census at the
 // given sustained-write pressure (0..1).
 func (m *Model) Caps(l Load, pressure float64) Caps {
-	var c Caps
-	if l.Reads() > 0 {
-		c.Read = m.readAggregate(l)
-	}
-	if l.Writes() > 0 {
-		c.Write = m.writeAggregate(l, pressure)
-	}
 	shared := m.sharedEfficiency(l, pressure)
-	c.Read *= shared
-	c.Write *= shared
-	return c
+	return Caps{Read: m.readAggregate(l) * shared, Write: m.writeAggregate(l, pressure) * shared}
+}
+
+// ReadCap is Caps(l, pressure).Read, computing only the read side: the
+// PMEM read port asks for nothing else.
+func (m *Model) ReadCap(l Load, pressure float64) float64 {
+	return m.readAggregate(l) * m.sharedEfficiency(l, pressure)
+}
+
+// WriteCap is Caps(l, pressure).Write, computing only the write side.
+func (m *Model) WriteCap(l Load, pressure float64) float64 {
+	return m.writeAggregate(l, pressure) * m.sharedEfficiency(l, pressure)
 }
 
 // readAggregate: linear scaling to ReadScaleOps, remote penalty folded
-// in proportionally to the remote share.
+// in proportionally to the remote share; zero without reads.
 func (m *Model) readAggregate(l Load) float64 {
 	n := l.Reads()
-	base := m.ReadMax * math.Min(1, n/m.ReadScaleOps)
+	if n <= 0 {
+		return 0
+	}
+	base := m.ReadMax * min(1, n/m.ReadScaleOps)
 	pen := m.remoteReadPenalty(l.RemoteReads)
 	return base * (l.LocalReads + l.RemoteReads/pen) / n
 }
@@ -358,19 +363,23 @@ func (m *Model) remoteReadPenalty(w float64) float64 {
 	if ramp < 1 {
 		ramp = 1
 	}
-	frac := math.Min(1, math.Max(0, w-1)/ramp)
+	frac := min(1, max(0, w-1)/ramp)
 	return m.RemoteReadBase + span*frac
 }
 
 // writeAggregate: linear scaling to WriteScaleOps, then a gentle decay
 // (XPBuffer eviction) with more write streams; remote writers collapse
-// per the pressure-scaled penalty, blended by population.
+// per the pressure-scaled penalty, blended by population; zero without
+// writes.
 func (m *Model) writeAggregate(l Load, pressure float64) float64 {
 	n := l.Writes()
-	scale := math.Min(1, n/m.WriteScaleOps)
+	if n <= 0 {
+		return 0
+	}
+	scale := min(1, n/m.WriteScaleOps)
 	if n > m.WriteScaleOps {
 		decay := 1 - m.WriteDecay*(n-m.WriteScaleOps)
-		scale = math.Max(m.WriteFloor, decay)
+		scale = max(m.WriteFloor, decay)
 	}
 	base := m.WriteMax * scale
 	// Remote reads in flight hold UPI and iMC resources that back-press
@@ -422,13 +431,13 @@ func (m *Model) sharedEfficiency(l Load, pressure float64) float64 {
 	// Mixing: peak loss at a 50/50 effective read/write split, deepened
 	// by sub-stripe traffic, ramping in with raw stream count.
 	if l.Reads() > 0 && l.Writes() > 0 && raw > m.MixOnsetOps {
-		ramp := math.Min(1, float64(raw-m.MixOnsetOps)/float64(m.MixFullOps-m.MixOnsetOps))
+		ramp := min(1, float64(raw-m.MixOnsetOps)/float64(m.MixFullOps-m.MixOnsetOps))
 		wf := l.Writes() / n
 		smallFrac := (l.SmallReads + l.SmallWrites) / n
 		scale := m.MixPressureFloor + (1-m.MixPressureFloor)*clamp01(pressure)
 		penalty := (m.MixPenalty + m.SmallMixBoost*smallFrac) * ramp * scale
 		e := 1 - penalty*4*wf*(1-wf)
-		eff *= math.Max(m.MixFloor, e)
+		eff *= max(m.MixFloor, e)
 	}
 	// Internal-cache thrash beyond XPThrashOps raw streams.
 	if raw > m.XPThrashOps {

@@ -26,11 +26,11 @@ func TestRandomizedConservation(t *testing.T) {
 				if rng.Float64() < 0.4 {
 					d := rng.Float64() * 2
 					totalCompute += d
-					stages = append(stages, Compute{Seconds: d, Tag: "c"})
+					stages = append(stages, &Compute{Seconds: d, Tag: "c"})
 				} else {
 					b := 100 + rng.Float64()*10000
 					totalBytes += b
-					tr := Transfer{Bytes: b, Path: []Resource{r}, Tag: "io"}
+					tr := &Transfer{Bytes: b, Path: []Resource{r}, Tag: "io"}
 					if rng.Float64() < 0.5 {
 						tr.OpBytes = b / float64(1+rng.Intn(8))
 						tr.PerOpSeconds = rng.Float64() * 0.01
@@ -74,7 +74,7 @@ func TestSoftwareThroughputCeiling(t *testing.T) {
 	k := New()
 	perOp := 1e-3
 	opBytes := 1000.0
-	p := k.Spawn("p", Sequence(Transfer{
+	p := k.Spawn("p", Sequence(&Transfer{
 		Bytes: 100 * opBytes, OpBytes: opBytes, PerOpSeconds: perOp,
 		Path: []Resource{r}, Tag: "io",
 	}))

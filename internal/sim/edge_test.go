@@ -7,7 +7,7 @@ func TestTransferOpBytesClampedToTotal(t *testing.T) {
 	k := New()
 	// OpBytes larger than the payload: treated as a single op of the
 	// whole payload.
-	k.Spawn("p", Sequence(Transfer{
+	k.Spawn("p", Sequence(&Transfer{
 		Bytes: 50, OpBytes: 500, PerOpSeconds: 0.5,
 		Path: []Resource{r}, Tag: "io",
 	}))
@@ -21,7 +21,7 @@ func TestTransferOpBytesClampedToTotal(t *testing.T) {
 func TestWaitTargetZeroIsImmediate(t *testing.T) {
 	k := New()
 	c := k.NewCond("v")
-	p := k.Spawn("p", Sequence(Wait{C: c, Target: 0, Tag: "w"}, Compute{Seconds: 1, Tag: "c"}))
+	p := k.Spawn("p", Sequence(&Wait{C: c, Target: 0, Tag: "w"}, &Compute{Seconds: 1, Tag: "c"}))
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func TestWaitTargetZeroIsImmediate(t *testing.T) {
 func TestSingleParticipantBarrier(t *testing.T) {
 	b := NewBarrier("solo", 1)
 	k := New()
-	k.Spawn("p", Sequence(Arrive{B: b, Tag: "bar"}, Compute{Seconds: 1, Tag: "c"}))
+	k.Spawn("p", Sequence(&Arrive{B: b, Tag: "bar"}, &Compute{Seconds: 1, Tag: "c"}))
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestFlowAccessors(t *testing.T) {
 			captured = fs[0]
 		}
 	}}
-	k.Spawn("p", Sequence(Transfer{Bytes: 100, Path: []Resource{&probe}, Tag: "io"}))
+	k.Spawn("p", Sequence(&Transfer{Bytes: 100, Path: []Resource{&probe}, Tag: "io"}))
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -21,10 +21,16 @@ type Proc struct {
 	done     bool
 	endTime  float64
 
-	acct    map[string]float64 // per-tag accumulated seconds
-	tag     string             // tag of the stage in progress
-	tick    float64            // time the stage in progress started/resumed
-	charges []Charge           // analytic attributions for the transfer in progress
+	acct    []tagTime // per-tag accumulated seconds, in first-charge order
+	tag     string    // tag of the stage in progress
+	tick    float64   // time the stage in progress started/resumed
+	charges []Charge  // analytic attributions for the transfer in progress
+}
+
+// tagTime is one accounting bucket of a process.
+type tagTime struct {
+	tag     string
+	seconds float64
 }
 
 // Name returns the process name given at spawn.
@@ -39,13 +45,20 @@ func (p *Proc) EndTime() float64 { return p.endTime }
 
 // TimeIn returns the accumulated simulated seconds the process spent
 // in stages carrying the given tag.
-func (p *Proc) TimeIn(tag string) float64 { return p.acct[tag] }
+func (p *Proc) TimeIn(tag string) float64 {
+	for _, a := range p.acct {
+		if a.tag == tag {
+			return a.seconds
+		}
+	}
+	return 0
+}
 
 // Tags returns the accounting tags seen by this process, sorted.
 func (p *Proc) Tags() []string {
 	tags := make([]string, 0, len(p.acct))
-	for t := range p.acct {
-		tags = append(tags, t)
+	for _, a := range p.acct {
+		tags = append(tags, a.tag)
 	}
 	sort.Strings(tags)
 	return tags
@@ -59,6 +72,13 @@ type Kernel struct {
 	flows   []*Flow // active transfers, ordered by arrival
 	dirty   bool    // flow set changed since last rate computation
 	condSeq int
+
+	// Finished transfers' flows, recycled for later transfers. A removed
+	// flow is retired until the next round's SetFlows calls, because the
+	// resources may still hold it in the lists they read then (see
+	// Resource); after them it is free for reuse.
+	retired []*Flow
+	free    []*Flow
 
 	// Rate-round state. Every resource a flow routes through gets a
 	// dense slot the first time it is seen; flows carry their path as
@@ -102,7 +122,8 @@ func (k *Kernel) Spawn(name string, prog Program) *Proc {
 		id:   len(k.procs),
 		name: name,
 		prog: prog,
-		acct: map[string]float64{},
+		// Room for the handful of tags a workflow rank charges.
+		acct: make([]tagTime, 0, 6),
 	}
 	k.procs = append(k.procs, p)
 	return p
@@ -173,7 +194,7 @@ func (k *Kernel) advanceProc(p *Proc) {
 			return
 		}
 		switch st := s.(type) {
-		case Compute:
+		case *Compute:
 			if st.Seconds < 0 {
 				panic(fmt.Sprintf("sim: proc %q: negative compute duration %g", p.name, st.Seconds))
 			}
@@ -181,11 +202,11 @@ func (k *Kernel) advanceProc(p *Proc) {
 				p.charge(st.Tag, 0)
 				continue // zero-length stage: account and move on
 			}
-			p.stage = st
+			p.stage = s
 			p.stageEnd = k.now + st.Seconds
 			p.beginAt(st.Tag, k.now)
 			return
-		case Transfer:
+		case *Transfer:
 			if st.Bytes < 0 {
 				panic(fmt.Sprintf("sim: proc %q: negative transfer size %g", p.name, st.Bytes))
 			}
@@ -203,23 +224,24 @@ func (k *Kernel) advanceProc(p *Proc) {
 			if opBytes == 0 || opBytes > st.Bytes {
 				opBytes = st.Bytes
 			}
-			f := &Flow{
+			f := k.newFlow()
+			*f = Flow{
 				Class:     st.Class,
 				Weight:    1,
 				opBytes:   opBytes,
 				perOp:     st.PerOpSeconds,
-				slots:     k.slotsFor(st.Path),
+				slots:     k.slotsFor(f.slots[:0], st.Path),
 				remaining: st.Bytes,
 				proc:      p,
 			}
-			p.stage = st
+			p.stage = s
 			p.flow = f
 			p.charges = st.Charges
 			p.beginAt(st.Tag, k.now)
 			k.flows = append(k.flows, f)
 			k.dirty = true
 			return
-		case Wait:
+		case *Wait:
 			if st.C == nil {
 				panic(fmt.Sprintf("sim: proc %q: wait on nil cond", p.name))
 			}
@@ -227,11 +249,11 @@ func (k *Kernel) advanceProc(p *Proc) {
 				p.charge(st.Tag, 0)
 				continue
 			}
-			p.stage = st
+			p.stage = s
 			p.waitV = st.Target
 			p.beginAt(st.Tag, k.now)
 			return
-		case Arrive:
+		case *Arrive:
 			if st.B == nil {
 				panic(fmt.Sprintf("sim: proc %q: arrive at nil barrier", p.name))
 			}
@@ -243,7 +265,7 @@ func (k *Kernel) advanceProc(p *Proc) {
 				k.wakeBarrier(st.B)
 				continue
 			}
-			p.stage = st
+			p.stage = s
 			p.waitV = waitFor
 			p.beginAt(st.Tag, k.now)
 			return
@@ -260,7 +282,7 @@ func (k *Kernel) wakeWaiters() {
 		if p.done {
 			continue
 		}
-		if w, ok := p.stage.(Wait); ok && w.C.value >= p.waitV {
+		if w, ok := p.stage.(*Wait); ok && w.C.value >= p.waitV {
 			k.traceFinish(p, k.now)
 			p.finishStage(k.now)
 			k.advanceProc(p)
@@ -275,7 +297,7 @@ func (k *Kernel) wakeBarrier(b *Barrier) {
 		if p.done {
 			continue
 		}
-		if a, ok := p.stage.(Arrive); ok && a.B == b && b.gen >= p.waitV {
+		if a, ok := p.stage.(*Arrive); ok && a.B == b && b.gen >= p.waitV {
 			k.traceFinish(p, k.now)
 			p.finishStage(k.now)
 			k.advanceProc(p)
@@ -290,11 +312,21 @@ func (k *Kernel) wakeBarrier(b *Barrier) {
 // weight-convergence tests assert this).
 const rateIterations = 4
 
-// slotsFor returns the slot of every resource on path, giving each
-// resource the kernel has not seen before the next free slot.
-func (k *Kernel) slotsFor(path []Resource) []int32 {
-	slots := make([]int32, len(path))
-	for i, r := range path {
+// newFlow returns a flow for a new transfer: a recycled one when one
+// is free, with its slots backing still attached, or a new one.
+func (k *Kernel) newFlow() *Flow {
+	if n := len(k.free); n > 0 {
+		f := k.free[n-1]
+		k.free = k.free[:n-1]
+		return f
+	}
+	return &Flow{}
+}
+
+// slotsFor appends the slot of every resource on path to slots, giving
+// each resource the kernel has not seen before the next free slot.
+func (k *Kernel) slotsFor(slots []int32, path []Resource) []int32 {
+	for _, r := range path {
 		s, ok := k.slotOf[r]
 		if !ok {
 			s = int32(len(k.res))
@@ -306,7 +338,7 @@ func (k *Kernel) slotsFor(path []Resource) []int32 {
 			k.lists[1] = append(k.lists[1], make([]*Flow, 0, len(k.procs)))
 			k.stamp = append(k.stamp, 0)
 		}
-		slots[i] = s
+		slots = append(slots, s)
 	}
 	return slots
 }
@@ -327,6 +359,7 @@ func (k *Kernel) assignRates() {
 			k.res[s].SetFlows(k.now, nil)
 		}
 		k.prevSlots = k.prevSlots[:0]
+		k.recycle()
 		return
 	}
 	// Build this round's flow lists in the buffer the previous round did
@@ -359,6 +392,7 @@ func (k *Kernel) assignRates() {
 		k.res[s].SetFlows(k.now, lists[s])
 	}
 	k.spare, k.prevSlots = k.prevSlots, slots
+	k.recycle()
 
 	for iter := 0; iter < rateIterations; iter++ {
 		for _, f := range k.flows {
@@ -372,7 +406,7 @@ func (k *Kernel) assignRates() {
 				if w < 1 {
 					w = 1
 				}
-				s := math.Min(cap/w, perFlow)
+				s := min(cap/w, perFlow)
 				if s < share {
 					share = s
 				}
@@ -404,11 +438,11 @@ func (k *Kernel) nextEventTime() (float64, bool) {
 			continue
 		}
 		switch p.stage.(type) {
-		case Compute:
+		case *Compute:
 			if p.stageEnd < t {
 				t = p.stageEnd
 			}
-		case Transfer:
+		case *Transfer:
 			end := k.now + p.flow.remaining/p.flow.rate
 			if end < t {
 				t = end
@@ -445,13 +479,13 @@ func (k *Kernel) completeStages() {
 			continue
 		}
 		switch p.stage.(type) {
-		case Compute:
-			if p.stageEnd <= k.now+1e-15*math.Max(1, k.now) {
+		case *Compute:
+			if p.stageEnd <= k.now+1e-15*max(1, k.now) {
 				k.traceFinish(p, k.now)
 				p.finishStage(k.now)
 				k.advanceProc(p)
 			}
-		case Transfer:
+		case *Transfer:
 			if p.flow.remaining <= p.flow.rate*eps {
 				p.flow.remaining = 0
 				k.removeFlow(p.flow)
@@ -468,10 +502,18 @@ func (k *Kernel) removeFlow(f *Flow) {
 	for i, g := range k.flows {
 		if g == f {
 			k.flows = append(k.flows[:i], k.flows[i+1:]...)
+			k.retired = append(k.retired, f)
 			k.dirty = true
 			return
 		}
 	}
+}
+
+// recycle frees the flows retired before this round. Called once the
+// round's SetFlows calls are done: no resource holds them any more.
+func (k *Kernel) recycle() {
+	k.free = append(k.free, k.retired...)
+	k.retired = k.retired[:0]
 }
 
 func (k *Kernel) blockedSummary() string {
@@ -481,9 +523,9 @@ func (k *Kernel) blockedSummary() string {
 			continue
 		}
 		switch st := p.stage.(type) {
-		case Wait:
+		case *Wait:
 			s += fmt.Sprintf(" %s waits %s>=%d (at %d);", p.name, st.C.name, p.waitV, st.C.value)
-		case Arrive:
+		case *Arrive:
 			s += fmt.Sprintf(" %s at barrier %s gen %d;", p.name, st.B.name, p.waitV)
 		}
 	}
@@ -503,7 +545,7 @@ func (p *Proc) beginAt(tag string, now float64) {
 func (p *Proc) finishStage(now float64) {
 	elapsed := now - p.tick
 	for _, c := range p.charges {
-		attributed := math.Min(c.Seconds, elapsed)
+		attributed := min(c.Seconds, elapsed)
 		p.charge(c.Tag, attributed)
 		elapsed -= attributed
 	}
@@ -517,5 +559,12 @@ func (p *Proc) charge(tag string, seconds float64) {
 	if tag == "" {
 		tag = "untagged"
 	}
-	p.acct[tag] += seconds
+	i := 0
+	for i < len(p.acct) && p.acct[i].tag != tag {
+		i++
+	}
+	if i == len(p.acct) {
+		p.acct = append(p.acct, tagTime{tag: tag})
+	}
+	p.acct[i].seconds += seconds
 }

@@ -25,9 +25,9 @@ func approx(t *testing.T, got, want, rel float64, msg string) {
 func TestComputeSequenceTiming(t *testing.T) {
 	k := New()
 	p := k.Spawn("p", Sequence(
-		Compute{Seconds: 1.5, Tag: "a"},
-		Compute{Seconds: 2.5, Tag: "b"},
-		Compute{Seconds: 1.0, Tag: "a"},
+		&Compute{Seconds: 1.5, Tag: "a"},
+		&Compute{Seconds: 2.5, Tag: "b"},
+		&Compute{Seconds: 1.0, Tag: "a"},
 	))
 	end, err := k.Run()
 	if err != nil {
@@ -45,9 +45,9 @@ func TestComputeSequenceTiming(t *testing.T) {
 func TestZeroLengthStagesAreFree(t *testing.T) {
 	k := New()
 	p := k.Spawn("p", Sequence(
-		Compute{Seconds: 0, Tag: "z"},
-		Compute{Seconds: 1, Tag: "a"},
-		Compute{Seconds: 0, Tag: "z"},
+		&Compute{Seconds: 0, Tag: "z"},
+		&Compute{Seconds: 1, Tag: "a"},
+		&Compute{Seconds: 0, Tag: "z"},
 	))
 	end, err := k.Run()
 	if err != nil {
@@ -60,7 +60,7 @@ func TestZeroLengthStagesAreFree(t *testing.T) {
 func TestSingleTransferRate(t *testing.T) {
 	r := NewFixedResource("link", 100) // 100 B/s
 	k := New()
-	k.Spawn("p", Sequence(Transfer{Bytes: 250, Path: []Resource{r}, Tag: "io"}))
+	k.Spawn("p", Sequence(&Transfer{Bytes: 250, Path: []Resource{r}, Tag: "io"}))
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestEqualSharing(t *testing.T) {
 	r := NewFixedResource("link", 100)
 	k := New()
 	for i := 0; i < 4; i++ {
-		k.Spawn("p", Sequence(Transfer{Bytes: 100, Path: []Resource{r}, Tag: "io"}))
+		k.Spawn("p", Sequence(&Transfer{Bytes: 100, Path: []Resource{r}, Tag: "io"}))
 	}
 	end, err := k.Run()
 	if err != nil {
@@ -85,8 +85,8 @@ func TestEqualSharing(t *testing.T) {
 func TestUnequalFlowsReleaseCapacity(t *testing.T) {
 	r := NewFixedResource("link", 100)
 	k := New()
-	short := k.Spawn("short", Sequence(Transfer{Bytes: 50, Path: []Resource{r}, Tag: "io"}))
-	long := k.Spawn("long", Sequence(Transfer{Bytes: 200, Path: []Resource{r}, Tag: "io"}))
+	short := k.Spawn("short", Sequence(&Transfer{Bytes: 50, Path: []Resource{r}, Tag: "io"}))
+	long := k.Spawn("long", Sequence(&Transfer{Bytes: 200, Path: []Resource{r}, Tag: "io"}))
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestMinAcrossPathResources(t *testing.T) {
 	wide := NewFixedResource("wide", 1000)
 	narrow := NewFixedResource("narrow", 10)
 	k := New()
-	k.Spawn("p", Sequence(Transfer{Bytes: 100, Path: []Resource{wide, narrow}, Tag: "io"}))
+	k.Spawn("p", Sequence(&Transfer{Bytes: 100, Path: []Resource{wide, narrow}, Tag: "io"}))
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestPerOpSoftwareThrottling(t *testing.T) {
 	k := New()
 	// 10 ops of 100 bytes, 0.1 s software each: cycle = 0.1 + 100/1000 =
 	// 0.2 s, total 2 s.
-	p := k.Spawn("p", Sequence(Transfer{
+	p := k.Spawn("p", Sequence(&Transfer{
 		Bytes: 1000, OpBytes: 100, PerOpSeconds: 0.1,
 		Charges: []Charge{{Seconds: 1.0, Tag: "sw"}},
 		Path:    []Resource{r}, Tag: "io",
@@ -134,8 +134,8 @@ func TestDutyCycleWeightReducesContention(t *testing.T) {
 	// 50% duty cycle. B's weight should let A claim more than half.
 	r := NewFixedResource("link", 100)
 	k := New()
-	a := k.Spawn("a", Sequence(Transfer{Bytes: 300, Path: []Resource{r}, Tag: "io"}))
-	k.Spawn("b", Sequence(Transfer{
+	a := k.Spawn("a", Sequence(&Transfer{Bytes: 300, Path: []Resource{r}, Tag: "io"}))
+	k.Spawn("b", Sequence(&Transfer{
 		Bytes: 300, OpBytes: 10, PerOpSeconds: 0.2, // at d=50: cycle 0.4, duty 0.5
 		Path: []Resource{r}, Tag: "io",
 	}))
@@ -160,7 +160,7 @@ func TestCondWaitAndPublish(t *testing.T) {
 		switch step {
 		case 0:
 			step = 1
-			return Compute{Seconds: 3, Tag: "c"}
+			return &Compute{Seconds: 3, Tag: "c"}
 		case 1:
 			c.Publish(k, 1)
 			step = 2
@@ -173,11 +173,11 @@ func TestCondWaitAndPublish(t *testing.T) {
 		switch cstep {
 		case 0:
 			cstep = 1
-			return Wait{C: c, Target: 1, Tag: "wait"}
+			return &Wait{C: c, Target: 1, Tag: "wait"}
 		case 1:
 			consumerResumed = k.Now()
 			cstep = 2
-			return Compute{Seconds: 1, Tag: "c"}
+			return &Compute{Seconds: 1, Tag: "c"}
 		}
 		return nil
 	}))
@@ -196,7 +196,7 @@ func TestWaitOnSatisfiedCondIsFree(t *testing.T) {
 		c.Publish(k, 5)
 		return nil
 	}))
-	p := k.Spawn("q", Sequence(Wait{C: c, Target: 3, Tag: "w"}, Compute{Seconds: 1, Tag: "c"}))
+	p := k.Spawn("q", Sequence(&Wait{C: c, Target: 3, Tag: "w"}, &Compute{Seconds: 1, Tag: "c"}))
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -233,10 +233,10 @@ func TestBarrierSynchronizes(t *testing.T) {
 			switch step {
 			case 0:
 				step = 1
-				return Compute{Seconds: durations[i], Tag: "c"}
+				return &Compute{Seconds: durations[i], Tag: "c"}
 			case 1:
 				step = 2
-				return Arrive{B: b, Tag: "bar"}
+				return &Arrive{B: b, Tag: "bar"}
 			case 2:
 				ends[i] = k.Now()
 				step = 3
@@ -270,14 +270,14 @@ func TestBarrierReusableAcrossIterations(t *testing.T) {
 				switch st {
 				case 0:
 					st = 1
-					return Compute{Seconds: compute, Tag: "c"}
+					return &Compute{Seconds: compute, Tag: "c"}
 				case 1:
 					st = 0
 					i++
 					if i == 3 {
 						iters++
 					}
-					return Arrive{B: b, Tag: "bar"}
+					return &Arrive{B: b, Tag: "bar"}
 				}
 			}
 		})
@@ -298,7 +298,7 @@ func TestBarrierReusableAcrossIterations(t *testing.T) {
 func TestDeadlockDetected(t *testing.T) {
 	k := New()
 	c := k.NewCond("never")
-	k.Spawn("p", Sequence(Wait{C: c, Target: 1, Tag: "w"}))
+	k.Spawn("p", Sequence(&Wait{C: c, Target: 1, Tag: "w"}))
 	_, err := k.Run()
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("got %v, want deadlock", err)
@@ -308,7 +308,7 @@ func TestDeadlockDetected(t *testing.T) {
 func TestBarrierDeadlockDetected(t *testing.T) {
 	k := New()
 	b := NewBarrier("b", 2)
-	k.Spawn("p", Sequence(Arrive{B: b, Tag: "bar"})) // second participant never spawned
+	k.Spawn("p", Sequence(&Arrive{B: b, Tag: "bar"})) // second participant never spawned
 	_, err := k.Run()
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("got %v, want deadlock", err)
@@ -318,8 +318,8 @@ func TestBarrierDeadlockDetected(t *testing.T) {
 func TestChainRunsProgramsInOrder(t *testing.T) {
 	k := New()
 	p := k.Spawn("p", Chain(
-		Sequence(Compute{Seconds: 1, Tag: "a"}),
-		Sequence(Compute{Seconds: 2, Tag: "b"}),
+		Sequence(&Compute{Seconds: 1, Tag: "a"}),
+		Sequence(&Compute{Seconds: 2, Tag: "b"}),
 	))
 	end, err := k.Run()
 	if err != nil {
@@ -337,7 +337,7 @@ func TestNegativeComputePanics(t *testing.T) {
 		}
 	}()
 	k := New()
-	k.Spawn("p", Sequence(Compute{Seconds: -1}))
+	k.Spawn("p", Sequence(&Compute{Seconds: -1}))
 	_, _ = k.Run()
 }
 
@@ -348,7 +348,7 @@ func TestEmptyPathPanics(t *testing.T) {
 		}
 	}()
 	k := New()
-	k.Spawn("p", Sequence(Transfer{Bytes: 1}))
+	k.Spawn("p", Sequence(&Transfer{Bytes: 1}))
 	_, _ = k.Run()
 }
 
@@ -358,7 +358,7 @@ func TestMaxStepsGuard(t *testing.T) {
 	i := 0
 	k.Spawn("p", ProgramFunc(func(*Kernel) Stage {
 		i++
-		return Compute{Seconds: 1, Tag: "c"}
+		return &Compute{Seconds: 1, Tag: "c"}
 	}))
 	if _, err := k.Run(); err == nil {
 		t.Fatal("expected step-limit error")
@@ -378,10 +378,10 @@ func TestDeterminism(t *testing.T) {
 					switch st {
 					case 0:
 						st = 1
-						return Compute{Seconds: float64(i) * 0.1, Tag: "c"}
+						return &Compute{Seconds: float64(i) * 0.1, Tag: "c"}
 					case 1:
 						st = 2
-						return Transfer{Bytes: 100 * float64(i+1), Path: []Resource{r}, Tag: "io"}
+						return &Transfer{Bytes: 100 * float64(i+1), Path: []Resource{r}, Tag: "io"}
 					default:
 						return nil
 					}
@@ -419,7 +419,7 @@ func TestTransferLowerBoundProperty(t *testing.T) {
 		perOp := float64(perOpMs%50) * 1e-3
 		r := NewFixedResource("link", capacity)
 		k := New()
-		k.Spawn("p", Sequence(Transfer{
+		k.Spawn("p", Sequence(&Transfer{
 			Bytes: bytes, OpBytes: 100, PerOpSeconds: perOp,
 			Path: []Resource{r}, Tag: "io",
 		}))
@@ -442,7 +442,7 @@ func TestContentionMonotonicityProperty(t *testing.T) {
 		r := NewFixedResource("link", 1000)
 		k := New()
 		for i := 0; i < n; i++ {
-			k.Spawn("p", Sequence(Transfer{Bytes: 500, Path: []Resource{r}, Tag: "io"}))
+			k.Spawn("p", Sequence(&Transfer{Bytes: 500, Path: []Resource{r}, Tag: "io"}))
 		}
 		end, err := k.Run()
 		if err != nil {
@@ -467,7 +467,7 @@ func TestWeightBoundsProperty(t *testing.T) {
 		ob := float64(opBytes%10000 + 1)
 		r := NewFixedResource("link", 1e6)
 		k := New()
-		k.Spawn("p", Sequence(Transfer{
+		k.Spawn("p", Sequence(&Transfer{
 			Bytes: ob * 4, OpBytes: ob, PerOpSeconds: perOp,
 			Path: []Resource{r}, Tag: "io",
 		}))
@@ -485,7 +485,7 @@ func TestChargesNeverExceedElapsed(t *testing.T) {
 	// the residual tag must never go negative.
 	r := NewFixedResource("link", 1000)
 	k := New()
-	p := k.Spawn("p", Sequence(Transfer{
+	p := k.Spawn("p", Sequence(&Transfer{
 		Bytes: 100, Path: []Resource{r}, Tag: "io",
 		Charges: []Charge{{Seconds: 10, Tag: "sw"}}, // elapsed will be 0.1
 	}))
@@ -501,8 +501,8 @@ func TestChargesNeverExceedElapsed(t *testing.T) {
 func TestTagsSorted(t *testing.T) {
 	k := New()
 	p := k.Spawn("p", Sequence(
-		Compute{Seconds: 1, Tag: "zeta"},
-		Compute{Seconds: 1, Tag: "alpha"},
+		&Compute{Seconds: 1, Tag: "zeta"},
+		&Compute{Seconds: 1, Tag: "alpha"},
 	))
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -84,7 +84,7 @@ func (o *mapRound) assign() {
 	}
 }
 
-func path(f *Flow) []Resource { return f.proc.stage.(Transfer).Path }
+func path(f *Flow) []Resource { return f.proc.stage.(*Transfer).Path }
 
 // coupledPair is a device exposed as two resource ports whose state
 // couples them the way pmem.Device couples its read and write ports:
@@ -182,7 +182,7 @@ func newRateScenario(seed int64) rateScenario {
 		var stages []Stage
 		for s := 1 + rng.Intn(10); s > 0; s-- {
 			if rng.Float64() < 0.35 {
-				stages = append(stages, Compute{Seconds: rng.Float64() * 0.5, Tag: "idle"})
+				stages = append(stages, &Compute{Seconds: rng.Float64() * 0.5, Tag: "idle"})
 				continue
 			}
 			path := make([]Resource, 1+rng.Intn(3))
@@ -190,7 +190,7 @@ func newRateScenario(seed int64) rateScenario {
 				path[j] = pool[rng.Intn(len(pool))]
 			}
 			b := 10 + rng.Float64()*500
-			tr := Transfer{
+			tr := &Transfer{
 				Bytes: b,
 				Path:  path,
 				Class: FlowClass{Kind: OpKind(rng.Intn(2)), Remote: rng.Intn(2) == 0, AccessSize: rng.Int63n(1 << 16)},
@@ -344,7 +344,7 @@ func rateRoundKernel() *Kernel {
 			Weight:    1,
 			opBytes:   1 << 20,
 			remaining: 1 << 30,
-			slots:     k.slotsFor([]Resource{pair.port(int(kind)), link}),
+			slots:     k.slotsFor(nil, []Resource{pair.port(int(kind)), link}),
 		}
 		if i%4 < 2 {
 			f.opBytes = 4096

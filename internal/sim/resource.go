@@ -23,7 +23,10 @@ import "math"
 // SetFlows call on the same resource; SetFlows may read the lists it
 // and resources coupled to it still hold (the PMEM device integrates
 // write pressure from both of its ports' lists) before installing its
-// own.
+// own. Between rounds, the flows in a held list keep the Class and
+// Weight they had when the last round ended, until that next SetFlows
+// call: the kernel hands a finished transfer's Flow to a new transfer
+// only after the following round's SetFlows calls.
 type Resource interface {
 	// Name identifies the resource in traces and error messages.
 	Name() string

@@ -15,8 +15,9 @@
 // relies on.
 package sim
 
-// Stage is one step in a process's execution. Exactly one of the
-// concrete types below is returned from Program.Next.
+// Stage is one step in a process's execution. Program.Next returns a
+// pointer to one of the concrete types below: *Compute, *Transfer,
+// *Wait or *Arrive. The kernel only reads a stage, never writes it.
 type Stage interface{ stage() }
 
 // Compute occupies the process's (dedicated) core for a fixed duration.
@@ -76,10 +77,10 @@ type Arrive struct {
 	Tag string
 }
 
-func (Compute) stage()  {}
-func (Transfer) stage() {}
-func (Wait) stage()     {}
-func (Arrive) stage()   {}
+func (*Compute) stage()  {}
+func (*Transfer) stage() {}
+func (*Wait) stage()     {}
+func (*Arrive) stage()   {}
 
 // OpKind classifies a transfer as a device read or write.
 type OpKind uint8
@@ -108,6 +109,13 @@ type FlowClass struct {
 // when the previous stage completes (and once at start); returning nil
 // terminates the process. Next runs at the current simulated time and
 // may perform side effects such as publishing to a Cond.
+//
+// Next returns a pointer to a stage the program owns. The kernel keeps
+// that pointer and reads the stage until it completes, so the program
+// may rewrite a stage it returned only on its next Next call. A program
+// can therefore keep one struct per stage kind and refill it on every
+// call, and a run allocates nothing per stage. Several processes may
+// share a stage that none of them rewrites.
 type Program interface {
 	Next(k *Kernel) Stage
 }

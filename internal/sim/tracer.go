@@ -126,17 +126,17 @@ func (k *Kernel) traceFinish(p *Proc, now float64) {
 	}
 	ev := TraceEvent{Proc: p.name, Tag: p.tag, Start: p.tick, End: now}
 	switch st := p.stage.(type) {
-	case Compute:
+	case *Compute:
 		ev.Kind = "compute"
-	case Transfer:
+	case *Transfer:
 		ev.Kind = "transfer"
 		ev.Bytes = st.Bytes
 		if d := now - p.tick; d > 0 {
 			ev.AvgRate = st.Bytes / d
 		}
-	case Wait:
+	case *Wait:
 		ev.Kind = "wait"
-	case Arrive:
+	case *Arrive:
 		ev.Kind = "barrier"
 	}
 	k.tracer.record(ev)

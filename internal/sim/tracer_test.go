@@ -19,16 +19,16 @@ func tracedRun(t *testing.T) *Tracer {
 		case 0:
 			// compute then publish
 			if k.Now() == 0 {
-				return Compute{Seconds: 1, Tag: "c"}
+				return &Compute{Seconds: 1, Tag: "c"}
 			}
 			c.Publish(k, 1)
-			return Transfer{Bytes: 100, Path: []Resource{r}, Tag: "io"}
+			return &Transfer{Bytes: 100, Path: []Resource{r}, Tag: "io"}
 		}
 		return nil
 	}))
 	k.Spawn("consumer", Sequence(
-		Wait{C: c, Target: 1, Tag: "wait"},
-		Transfer{Bytes: 50, Path: []Resource{r}, Tag: "io"},
+		&Wait{C: c, Target: 1, Tag: "wait"},
+		&Transfer{Bytes: 50, Path: []Resource{r}, Tag: "io"},
 	))
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestTracerDetached(t *testing.T) {
 	// Without a tracer the kernel must run identically and record
 	// nothing (nil tracer is the default).
 	k := New()
-	k.Spawn("p", Sequence(Compute{Seconds: 1, Tag: "c"}))
+	k.Spawn("p", Sequence(&Compute{Seconds: 1, Tag: "c"}))
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

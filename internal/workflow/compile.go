@@ -111,41 +111,14 @@ func (s *ErrorSink) All() []error {
 }
 
 // ioPhase is one object population's per-iteration streaming phase,
-// modeled as a single fluid flow: count operations of objBytes each,
-// every operation paying the stack software cost plus device setup
-// latency (and any interleaved per-object compute) before its device
-// access.
+// modeled as a single fluid flow: the population's operations, every
+// one paying the stack software cost plus device setup latency (and
+// any interleaved per-object compute) before its device access. The
+// phase's kernel stage is built once and returned on every iteration.
 type ioPhase struct {
-	group   int
-	sub     int // sub-phase index when a population splits across tiers
-	count   int
-	bytes   float64 // total payload per iteration
-	objSize int64
-	perOpSW float64 // stack software + setup latency per object
-	perOpCP float64 // interleaved compute per object
-	path    []sim.Resource
-	class   sim.FlowClass
-}
-
-// transfer builds the phase's kernel stage.
-func (ph *ioPhase) transfer() sim.Transfer {
-	n := float64(ph.count)
-	charges := make([]sim.Charge, 0, 2)
-	if ph.perOpSW > 0 {
-		charges = append(charges, sim.Charge{Seconds: n * ph.perOpSW, Tag: TagSW})
-	}
-	if ph.perOpCP > 0 {
-		charges = append(charges, sim.Charge{Seconds: n * ph.perOpCP, Tag: TagCompute})
-	}
-	return sim.Transfer{
-		Bytes:        ph.bytes,
-		OpBytes:      float64(ph.objSize),
-		PerOpSeconds: ph.perOpSW + ph.perOpCP,
-		Charges:      charges,
-		Path:         ph.path,
-		Class:        ph.class,
-		Tag:          TagIO,
-	}
+	group int
+	sub   int // sub-phase index when a population splits across tiers
+	tr    *sim.Transfer
 }
 
 // buildPhase prepares one population's streaming phase against the
@@ -180,16 +153,29 @@ func buildPhase(cfg CompileConfig, kind sim.OpKind, pop ObjectSpec, group, sub i
 			}
 		}
 	}
+	// sw is the stack software cost plus setup latency per object, cp
+	// the interleaved compute per object.
+	cp := cfg.Component.ComputePerObject
+	n := float64(pop.CountPerRank)
+	charges := make([]sim.Charge, 0, 2)
+	if sw > 0 {
+		charges = append(charges, sim.Charge{Seconds: n * sw, Tag: TagSW})
+	}
+	if cp > 0 {
+		charges = append(charges, sim.Charge{Seconds: n * cp, Tag: TagCompute})
+	}
 	return ioPhase{
-		group:   group,
-		sub:     sub,
-		count:   pop.CountPerRank,
-		bytes:   float64(pop.Bytes) * float64(pop.CountPerRank),
-		objSize: pop.Bytes,
-		perOpSW: sw,
-		perOpCP: cfg.Component.ComputePerObject,
-		path:    path,
-		class:   class,
+		group: group,
+		sub:   sub,
+		tr: &sim.Transfer{
+			Bytes:        float64(pop.Bytes) * n,
+			OpBytes:      float64(pop.Bytes),
+			PerOpSeconds: sw + cp,
+			Charges:      charges,
+			Path:         path,
+			Class:        class,
+			Tag:          TagIO,
+		},
 	}
 }
 
@@ -347,6 +333,11 @@ type writerProg struct {
 	plan   phasePlan
 	staged bool // write-stage-drain: drain process owns commit/publish
 
+	// The stages this program hands the kernel, filled on each use.
+	compute sim.Compute
+	wait    sim.Wait
+	arrive  sim.Arrive
+
 	iter     int // completed iterations
 	pi       int // phase index within iteration
 	phase    int
@@ -358,7 +349,7 @@ func (p *writerProg) Next(k *sim.Kernel) sim.Stage {
 	if p.fail {
 		return nil
 	}
-	cfg := p.cfg
+	cfg := &p.cfg
 	for {
 		switch p.phase {
 		case phIterCompute:
@@ -375,10 +366,8 @@ func (p *writerProg) Next(k *sim.Kernel) sim.Stage {
 			}
 			p.pi = 0
 			if cfg.Component.ComputePerIteration > 0 {
-				return sim.Compute{
-					Seconds: jitteredCompute(cfg.Component, p.rank, p.iter),
-					Tag:     TagCompute,
-				}
+				p.compute = sim.Compute{Seconds: jitteredCompute(cfg.Component, p.rank, p.iter), Tag: TagCompute}
+				return &p.compute
 			}
 		case phStageWait:
 			// Double-buffer backpressure: staging version iter+1 reuses
@@ -387,7 +376,8 @@ func (p *writerProg) Next(k *sim.Kernel) sim.Stage {
 			// buffers and pass instantly.
 			p.phase = phIO
 			if cfg.CommitConds != nil && p.iter >= 2 {
-				return sim.Wait{C: cfg.CommitConds[p.rank], Target: int64(p.iter - 1), Tag: TagWait}
+				p.wait = sim.Wait{C: cfg.CommitConds[p.rank], Target: int64(p.iter - 1), Tag: TagWait}
+				return &p.wait
 			}
 		case phMigrate:
 			// Hot-promote's one-time migration: bulk-read this rank's
@@ -403,7 +393,7 @@ func (p *writerProg) Next(k *sim.Kernel) sim.Stage {
 				Kind:   sim.Read,
 				Bytes:  int64(mig),
 			})
-			return sim.Transfer{Bytes: mig, OpBytes: mig, Path: path, Class: class, Tag: TagIO}
+			return &sim.Transfer{Bytes: mig, OpBytes: mig, Path: path, Class: class, Tag: TagIO}
 		case phIO:
 			phases := p.plan.phases(p.iter)
 			if p.pi == 0 && cfg.StartConds != nil && !p.staged {
@@ -439,14 +429,14 @@ func (p *writerProg) Next(k *sim.Kernel) sim.Stage {
 				continue
 			}
 			p.phase = phPostIO
-			return phases[p.pi].transfer()
+			return phases[p.pi].tr
 		case phPostIO:
-			ph := p.plan.phases(p.iter)[p.pi]
+			ph := &p.plan.phases(p.iter)[p.pi]
 			// The phase's transfer completed: record it in the channel
 			// metadata (one entry per population sub-phase per version).
 			if cfg.Channel != nil {
 				if err := cfg.Channel.Append(p.rank, int64(p.iter+1),
-					stack.ObjectID{Group: ph.group, Index: ph.sub}, int64(ph.bytes)); err != nil {
+					stack.ObjectID{Group: ph.group, Index: ph.sub}, int64(ph.tr.Bytes)); err != nil {
 					cfg.Errs.Record(err)
 					p.fail = true
 					return nil
@@ -457,7 +447,8 @@ func (p *writerProg) Next(k *sim.Kernel) sim.Stage {
 		case phBarrier:
 			p.phase = phPublish
 			if cfg.Barrier != nil {
-				return sim.Arrive{B: cfg.Barrier, Tag: TagBarrier}
+				p.arrive = sim.Arrive{B: cfg.Barrier, Tag: TagBarrier}
+				return &p.arrive
 			}
 		case phPublish:
 			// Barrier passed: every writer finished iteration iter+1.
@@ -487,6 +478,11 @@ type readerProg struct {
 	rank int
 	plan phasePlan
 
+	// The stages this program hands the kernel, filled on each use.
+	compute sim.Compute
+	wait    sim.Wait
+	arrive  sim.Arrive
+
 	iter  int
 	pi    int
 	phase int
@@ -497,13 +493,14 @@ func (p *readerProg) Next(k *sim.Kernel) sim.Stage {
 	if p.fail {
 		return nil
 	}
-	cfg := p.cfg
+	cfg := &p.cfg
 	for {
 		switch p.phase {
 		case phGateWait:
 			p.phase = phVersionWait
 			if cfg.Gate != nil {
-				return sim.Wait{C: cfg.Gate, Target: 1, Tag: TagGate}
+				p.wait = sim.Wait{C: cfg.Gate, Target: 1, Tag: TagGate}
+				return &p.wait
 			}
 		case phVersionWait:
 			if p.iter >= cfg.Iterations {
@@ -512,7 +509,8 @@ func (p *readerProg) Next(k *sim.Kernel) sim.Stage {
 			p.phase = phIO
 			p.pi = 0
 			if cfg.StartConds != nil {
-				return sim.Wait{C: cfg.StartConds[p.rank], Target: int64(p.iter + 1), Tag: TagWait}
+				p.wait = sim.Wait{C: cfg.StartConds[p.rank], Target: int64(p.iter + 1), Tag: TagWait}
+				return &p.wait
 			}
 		case phIO:
 			if p.pi >= len(p.plan.phases(p.iter)) {
@@ -521,19 +519,17 @@ func (p *readerProg) Next(k *sim.Kernel) sim.Stage {
 				// overlap above may otherwise run marginally ahead).
 				p.phase = phCommitWait
 				if cfg.CommitConds != nil {
-					return sim.Wait{C: cfg.CommitConds[p.rank], Target: int64(p.iter + 1), Tag: TagWait}
+					p.wait = sim.Wait{C: cfg.CommitConds[p.rank], Target: int64(p.iter + 1), Tag: TagWait}
+					return &p.wait
 				}
 				continue
 			}
 			p.phase = phPostIO
-			return p.plan.phases(p.iter)[p.pi].transfer()
+			return p.plan.phases(p.iter)[p.pi].tr
 		case phPostIO:
-			ph := p.plan.phases(p.iter)[p.pi]
-			// Validate the fetch against channel metadata once the
-			// stream is consumed and the writer committed... validation
-			// happens in phCommitWait handling below for ordering; here
-			// we only advance.
-			_ = ph
+			// The fetch is validated against the channel metadata in
+			// phCommitWait, once the writer has committed; here we only
+			// advance.
 			p.pi++
 			p.phase = phIO
 		case phCommitWait:
@@ -545,9 +541,9 @@ func (p *readerProg) Next(k *sim.Kernel) sim.Stage {
 				for _, ph := range p.plan.phases(p.iter) {
 					got, err := cfg.Channel.Fetch(p.rank, int64(p.iter+1),
 						stack.ObjectID{Group: ph.group, Index: ph.sub})
-					if err == nil && got != int64(ph.bytes) {
+					if err == nil && got != int64(ph.tr.Bytes) {
 						err = fmt.Errorf("workflow: reader rank %d: population %d@%d has %d bytes, want %d",
-							p.rank, ph.group, p.iter+1, got, int64(ph.bytes))
+							p.rank, ph.group, p.iter+1, got, int64(ph.tr.Bytes))
 					}
 					if err != nil {
 						cfg.Errs.Record(err)
@@ -560,16 +556,15 @@ func (p *readerProg) Next(k *sim.Kernel) sim.Stage {
 		case phIterCompute:
 			p.phase = phBarrier
 			if cfg.Component.ComputePerIteration > 0 {
-				return sim.Compute{
-					Seconds: jitteredCompute(cfg.Component, p.rank, p.iter),
-					Tag:     TagCompute,
-				}
+				p.compute = sim.Compute{Seconds: jitteredCompute(cfg.Component, p.rank, p.iter), Tag: TagCompute}
+				return &p.compute
 			}
 		case phBarrier:
 			p.iter++
 			p.phase = phVersionWait
 			if cfg.Barrier != nil {
-				return sim.Arrive{B: cfg.Barrier, Tag: TagBarrier}
+				p.arrive = sim.Arrive{B: cfg.Barrier, Tag: TagBarrier}
+				return &p.arrive
 			}
 		default:
 			panic(fmt.Sprintf("workflow: reader rank %d in impossible phase %d", p.rank, p.phase))
@@ -622,9 +617,14 @@ const (
 )
 
 type drainProg struct {
-	cfg      CompileConfig
-	rank     int
+	cfg  CompileConfig
+	rank int
+
+	// The stages this program hands the kernel; wait and arrive are
+	// filled on each use.
 	transfer sim.Transfer
+	wait     sim.Wait
+	arrive   sim.Arrive
 
 	v     int64 // version currently being drained (1-based)
 	phase int
@@ -635,7 +635,7 @@ func (p *drainProg) Next(k *sim.Kernel) sim.Stage {
 	if p.fail {
 		return nil
 	}
-	cfg := p.cfg
+	cfg := &p.cfg
 	for {
 		switch p.phase {
 		case dphStagedWait:
@@ -646,7 +646,8 @@ func (p *drainProg) Next(k *sim.Kernel) sim.Stage {
 			p.v++
 			p.phase = dphDrain
 			if cfg.StagedConds != nil {
-				return sim.Wait{C: cfg.StagedConds[p.rank], Target: p.v, Tag: TagWait}
+				p.wait = sim.Wait{C: cfg.StagedConds[p.rank], Target: p.v, Tag: TagWait}
+				return &p.wait
 			}
 		case dphDrain:
 			// The version is staged: its PMEM copy starts streaming now,
@@ -655,7 +656,7 @@ func (p *drainProg) Next(k *sim.Kernel) sim.Stage {
 				cfg.StartConds[p.rank].Publish(k, p.v)
 			}
 			p.phase = dphCommit
-			return p.transfer
+			return &p.transfer
 		case dphCommit:
 			if cfg.Channel != nil {
 				if err := cfg.Channel.Commit(p.rank, p.v); err != nil {
@@ -671,7 +672,8 @@ func (p *drainProg) Next(k *sim.Kernel) sim.Stage {
 		case dphBarrier:
 			p.phase = dphGate
 			if cfg.DrainBarrier != nil {
-				return sim.Arrive{B: cfg.DrainBarrier, Tag: TagBarrier}
+				p.arrive = sim.Arrive{B: cfg.DrainBarrier, Tag: TagBarrier}
+				return &p.arrive
 			}
 		case dphGate:
 			// Publish is monotonic, so every drain publishing 1 is safe.
