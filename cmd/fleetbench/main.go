@@ -14,6 +14,9 @@
 // -tolerance times the baseline's, which is what CI's bench smoke job
 // runs on every push.
 //
+// Exit codes: 0 success, 1 runtime failure or a failed gate, 2 usage
+// error (bad flags or flag values, rejected before anything runs).
+//
 // Wall-clock timing lives here and not in internal/cluster because the
 // simulator proper is deterministic by contract (pmemlint bans
 // time.Now there); the engine exports event and pass counters and this
@@ -24,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -66,30 +70,48 @@ type benchRun struct {
 }
 
 func main() {
-	nodes := flag.Int("nodes", 1000, "cluster size")
-	jobs := flag.Int("jobs", 1000000, "synthetic trace length")
-	interarrival := flag.Float64("interarrival", 0.027, "mean inter-arrival in seconds (Poisson; 0.027 loads the default 1k-node cluster to ~60%)")
-	seed := flag.Int64("seed", 1, "trace seed")
-	policyName := flag.String("policy", "easy", "scheduling policy: fcfs, easy, pmem-aware, easy-i or pmem-aware-i")
-	configName := flag.String("config", "S-LocW", "fixed site-wide configuration for fcfs/easy")
-	stackName := flag.String("stack", "nova", "storage stack: nova or nvstream")
-	parallel := flag.Int("parallel", 0, "run-engine worker pool size (0 = GOMAXPROCS)")
-	out := flag.String("out", "BENCH_fleet.json", "output path")
-	baseline := flag.String("baseline", "", "committed BENCH_fleet.json to gate against (CI)")
-	tolerance := flag.Float64("tolerance", 2.0, "max allowed indexed ns/event regression factor vs the baseline")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
 
+// run is the command: it parses args, measures one stream and writes
+// the document to -out, logging to stderr. It returns the exit code: 0
+// success, 1 runtime failure or a failed -baseline gate, 2 usage error
+// (bad flags or flag values, rejected before anything is simulated).
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fleetbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	nodes := fs.Int("nodes", 1000, "cluster size")
+	jobs := fs.Int("jobs", 1000000, "synthetic trace length")
+	interarrival := fs.Float64("interarrival", 0.027, "mean inter-arrival in seconds (Poisson; 0.027 loads the default 1k-node cluster to ~60%)")
+	seed := fs.Int64("seed", 1, "trace seed")
+	policyName := fs.String("policy", "easy", "scheduling policy: fcfs, easy, pmem-aware, easy-i or pmem-aware-i")
+	configName := fs.String("config", "S-LocW", "fixed site-wide configuration for fcfs/easy")
+	stackName := fs.String("stack", "nova", "storage stack: nova or nvstream")
+	parallel := fs.Int("parallel", 0, "run-engine worker pool size (0 = GOMAXPROCS)")
+	out := fs.String("out", "BENCH_fleet.json", "output path")
+	baseline := fs.String("baseline", "", "committed BENCH_fleet.json to gate against (CI)")
+	tolerance := fs.Float64("tolerance", 2.0, "max allowed indexed ns/event regression factor vs the baseline")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		cli.Sayf(stderr, "fleetbench: unexpected arguments: %v\n", fs.Args())
+		return 2
+	}
 	env, err := cli.StackEnv(*stackName)
 	if err != nil {
-		fatal(err)
+		cli.Sayln(stderr, "fleetbench:", err)
+		return 2
 	}
 	fixed, err := core.ParseConfig(*configName)
 	if err != nil {
-		fatal(err)
+		cli.Sayln(stderr, "fleetbench:", err)
+		return 2
 	}
 	policy, err := cluster.ParsePolicy(*policyName, fixed)
 	if err != nil {
-		fatal(err)
+		cli.Sayln(stderr, "fleetbench:", err)
+		return 2
 	}
 	opt := cluster.Options{
 		Nodes:     *nodes,
@@ -99,9 +121,10 @@ func main() {
 	}
 	cfg := cluster.SyntheticConfig{Jobs: *jobs, MeanInterarrivalSeconds: *interarrival, Seed: *seed}
 
-	indexed, sum, err := run(opt, cfg)
+	indexed, sum, err := measure(opt, cfg)
 	if err != nil {
-		fatal(err)
+		cli.Sayln(stderr, "fleetbench:", err)
+		return 1
 	}
 	doc := benchDoc{
 		Schema: "pmemsched/bench-fleet/v1",
@@ -112,31 +135,39 @@ func main() {
 		Indexed: indexed,
 		Summary: sum,
 	}
-	fmt.Fprintf(os.Stderr, "indexed: %d jobs on %d nodes in %.2fs (%.0f ns/event, %d events, %d passes)\n",
+	cli.Sayf(stderr, "indexed: %d jobs on %d nodes in %.2fs (%.0f ns/event, %d events, %d passes)\n",
 		*jobs, *nodes, indexed.WallSeconds, indexed.NsPerEvent, indexed.Events, indexed.Passes)
 
 	if *baseline != "" {
-		if err := gate(*baseline, indexed, *tolerance); err != nil {
-			fatal(err)
+		if err := gate(stderr, *baseline, indexed, *tolerance); err != nil {
+			cli.Sayln(stderr, "fleetbench:", err)
+			return 1
 		}
 	}
+	if err := writeDoc(*out, doc); err != nil {
+		cli.Sayln(stderr, "fleetbench:", err)
+		return 1
+	}
+	return 0
+}
 
-	f, err := os.Create(*out)
+// writeDoc writes the document to path as indented JSON.
+func writeDoc(path string, doc benchDoc) error {
+	f, err := os.Create(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		fatal(err)
+	err = enc.Encode(doc)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
+	return err
 }
 
-// run executes one simulation of the seeded stream and times it.
-func run(opt cluster.Options, cfg cluster.SyntheticConfig) (benchRun, cluster.Summary, error) {
+// measure executes one simulation of the seeded stream and times it.
+func measure(opt cluster.Options, cfg cluster.SyntheticConfig) (benchRun, cluster.Summary, error) {
 	src, err := cluster.SyntheticSource(workloads.Suite(), cfg)
 	if err != nil {
 		return benchRun{}, cluster.Summary{}, err
@@ -160,7 +191,7 @@ func run(opt cluster.Options, cfg cluster.SyntheticConfig) (benchRun, cluster.Su
 
 // gate compares the fresh indexed per-event cost against a committed
 // baseline and fails on a regression beyond the tolerance factor.
-func gate(path string, fresh benchRun, tolerance float64) error {
+func gate(stderr io.Writer, path string, fresh benchRun, tolerance float64) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("reading baseline: %w", err)
@@ -177,12 +208,7 @@ func gate(path string, fresh benchRun, tolerance float64) error {
 		return fmt.Errorf("per-event scheduling cost regressed: %.0f ns/event vs baseline %.0f (limit %.0fx = %.0f)",
 			fresh.NsPerEvent, base.Indexed.NsPerEvent, tolerance, limit)
 	}
-	fmt.Fprintf(os.Stderr, "gate:    %.0f ns/event within %.1fx of baseline %.0f\n",
+	cli.Sayf(stderr, "gate:    %.0f ns/event within %.1fx of baseline %.0f\n",
 		fresh.NsPerEvent, tolerance, base.Indexed.NsPerEvent)
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "fleetbench:", err)
-	os.Exit(1)
 }

@@ -72,6 +72,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cli.Sayln(stderr, "wfrun: -workflow and -spec are alternatives; pick one")
 		return 2
 	}
+	if *specPath != "" && flagSet(fs, "ranks") {
+		cli.Sayln(stderr, "wfrun: -ranks applies to -workflow only; a -spec file sets its own ranks")
+		return 2
+	}
 	var wf pmemsched.Workflow
 	if *specPath != "" {
 		f, err := os.Open(*specPath)
@@ -149,6 +153,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cli.Sayf(stdout, "best: %s (%s)\n", best.Config.Label(), units.FormatSeconds(best.TotalSeconds))
 	}
 	return 0
+}
+
+// flagSet reports whether the named flag was given on the command line
+// (as opposed to holding its default).
+func flagSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == name {
+			set = true
+		}
+	})
+	return set
 }
 
 // writeTrace writes the run's timeline to path in the Chrome

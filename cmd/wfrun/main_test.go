@@ -20,6 +20,8 @@ func TestRunUsageErrors(t *testing.T) {
 		{"unknown flag", []string{"-bogus"}, "flag provided but not defined"},
 		{"positional args", []string{"-workflow", "micro-2k", "extra"}, "unexpected arguments"},
 		{"workflow and spec", []string{"-workflow", "micro-2k", "-spec", "x.json"}, "pick one"},
+		{"ranks with spec", []string{"-spec", "x.json", "-ranks", "8"}, "-ranks applies to -workflow only"},
+		{"default ranks with spec", []string{"-ranks", "16", "-spec", "x.json"}, "-ranks applies to -workflow only"},
 		{"unknown workflow", []string{"-workflow", "hpl"}, `unknown workflow "hpl"`},
 		{"nothing selected", nil, `unknown workflow ""`},
 		{"bad config", []string{"-workflow", "micro-2k", "-config", "X-LocQ"}, "X-LocQ"},

@@ -10,12 +10,15 @@
 //	wfsuite -stack nvstream # run on NVStream instead of NOVA
 //	wfsuite -parallel 8     # size of the run engine's worker pool
 //	wfsuite -stats          # print run-engine cache stats to stderr
+//	wfsuite -format json    # one JSON document: {"reports": [...], "matched": n, "total": m}
 //
 // Exit codes: 0 success, 1 runtime failure, 2 usage error (bad flags or
 // flag values, rejected before any experiment runs).
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"io"
 	"os"
@@ -30,6 +33,15 @@ var writers = map[string]func(*pmemsched.ExperimentReport, io.Writer) error{
 	"text": (*pmemsched.ExperimentReport).Render,
 	"csv":  (*pmemsched.ExperimentReport).WriteCSV,
 	"json": (*pmemsched.ExperimentReport).WriteJSON,
+}
+
+// suiteDoc is the -format json document: every selected report in
+// suite order, then the paper-claim tally the text formats print as
+// their summary line.
+type suiteDoc struct {
+	Reports []json.RawMessage `json:"reports"`
+	Matched int               `json:"matched"`
+	Total   int               `json:"total"`
 }
 
 func main() {
@@ -90,22 +102,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// other's suite runs instead of recomputing them.
 	rt := pmemsched.NewRunner(env, *parallel)
 
-	okTotal, checkTotal := 0, 0
+	// JSON reports are collected into one document; the text formats
+	// stream each report and end with a summary line.
+	asJSON := *format == "json"
+	var doc suiteDoc
 	for _, e := range selected {
 		rep, err := e.Run(rt)
 		if err != nil {
 			cli.Sayf(stderr, "wfsuite: %s: %v\n", e.ID, err)
 			return 1
 		}
-		if err := write(rep, stdout); err != nil {
+		var buf bytes.Buffer
+		out := stdout
+		if asJSON {
+			out = &buf
+		}
+		if err := write(rep, out); err != nil {
 			cli.Sayln(stderr, "wfsuite:", err)
 			return 1
 		}
+		if asJSON {
+			doc.Reports = append(doc.Reports, buf.Bytes())
+		}
 		ok, total := rep.Matched()
-		okTotal += ok
-		checkTotal += total
+		doc.Matched += ok
+		doc.Total += total
 	}
-	cli.Sayf(stdout, "== summary: %d/%d paper claims matched ==\n", okTotal, checkTotal)
+	if asJSON {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(doc); err != nil {
+			cli.Sayln(stderr, "wfsuite:", err)
+			return 1
+		}
+	} else {
+		cli.Sayf(stdout, "== summary: %d/%d paper claims matched ==\n", doc.Matched, doc.Total)
+	}
 	// Two known deviations are documented in EXPERIMENTS.md (the
 	// miniAMR+MatrixMult placement rows); the pinned outcomes are
 	// enforced by the calibration acceptance tests instead of an exit

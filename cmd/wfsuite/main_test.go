@@ -33,31 +33,50 @@ func TestRunList(t *testing.T) {
 	}
 }
 
-// TestRunOnlyJSON runs one experiment with JSON output: the report
-// must decode, and only the claim summary may follow it.
+// TestRunOnlyJSON runs two experiments with JSON output: the whole of
+// stdout must decode as one document holding both reports in order
+// and the claim tally, with nothing after it.
 func TestRunOnlyJSON(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-only", "tab1", "-format", "json"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-only", "tab1,fig4", "-format", "json"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code %d, stderr %q", code, stderr.String())
 	}
 	dec := json.NewDecoder(&stdout)
-	var rep struct {
-		ID       string            `json:"id"`
-		Findings []json.RawMessage `json:"findings"`
-		Tables   []json.RawMessage `json:"tables"`
+	dec.DisallowUnknownFields()
+	var doc struct {
+		Reports []struct {
+			ID       string            `json:"id"`
+			Title    string            `json:"title"`
+			Findings []json.RawMessage `json:"findings"`
+			Tables   []json.RawMessage `json:"tables"`
+		} `json:"reports"`
+		Matched int `json:"matched"`
+		Total   int `json:"total"`
 	}
-	if err := dec.Decode(&rep); err != nil {
-		t.Fatalf("report does not decode: %v", err)
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatalf("stdout does not decode as one document: %v", err)
 	}
-	if rep.ID != "tab1" || len(rep.Findings) == 0 || len(rep.Tables) == 0 {
-		t.Fatalf("decoded report %+v", rep)
+	if dec.More() {
+		t.Fatal("stdout holds more than one JSON value")
 	}
-	rest, err := io.ReadAll(io.MultiReader(dec.Buffered(), &stdout))
-	if err != nil {
-		t.Fatal(err)
+	if rest, err := io.ReadAll(io.MultiReader(dec.Buffered(), &stdout)); err != nil || strings.TrimSpace(string(rest)) != "" {
+		t.Fatalf("after the document: %q (err %v)", rest, err)
 	}
-	if got := strings.TrimSpace(string(rest)); !strings.HasPrefix(got, "== summary:") {
-		t.Fatalf("after the report: %q, want the claim summary", got)
+	if len(doc.Reports) != 2 || doc.Reports[0].ID != "tab1" || doc.Reports[1].ID != "fig4" {
+		t.Fatalf("decoded %d reports: %+v", len(doc.Reports), doc.Reports)
+	}
+	if len(doc.Reports[0].Tables) == 0 {
+		t.Error("tab1 has no tables")
+	}
+	findings := 0
+	for _, r := range doc.Reports {
+		if len(r.Findings) == 0 {
+			t.Errorf("report %s has no findings", r.ID)
+		}
+		findings += len(r.Findings)
+	}
+	if doc.Total != findings || doc.Matched < 1 || doc.Matched > doc.Total {
+		t.Errorf("tally %d/%d over %d findings", doc.Matched, doc.Total, findings)
 	}
 }
 

@@ -28,6 +28,11 @@ type classTable struct {
 	est     Estimator
 	handles map[uint64]int32
 	classes []jobClass
+	// marks[h] is class h's settle mark, reused across backfill passes;
+	// a mark is live only while it carries the current pass count,
+	// backfills (see settle).
+	marks     []settleMark
+	backfills uint64
 }
 
 // jobClass is one class's memo: the recommendation and the costs under
@@ -38,6 +43,17 @@ type jobClass struct {
 	recSet bool
 	costs  []classCost
 }
+
+// settleMark records the backfill pass that last settled a class and
+// that pass's placement count then (settledForPass: the whole pass).
+type settleMark struct {
+	pass uint64
+	at   int
+}
+
+// settledForPass marks a class settled for the rest of its backfill
+// pass, whatever that pass places next.
+const settledForPass = -1
 
 // classCost is a class's memo under one configuration.
 type classCost struct {
@@ -95,6 +111,41 @@ func (t *classTable) profile(h int32, j *Job, cfg core.Config) (JobProfile, erro
 		c.profSet = true
 	}
 	return c.prof, c.profErr
+}
+
+// Settled classes. A backfill pass visits every queued job, but jobs of
+// one class are interchangeable to it except for their IDs: the class
+// fixes configuration, profile, duration, ranks and DRAM demand, so
+// while the pass's snapshot is unchanged a second job of a class that
+// placed nothing would place nothing for the same reason. The pass
+// therefore settles a class when one of its jobs places nothing, keyed
+// by how many placements the pass has made, and skips the class's later
+// jobs until the next placement changes the snapshot. The skip needs no
+// argument about how capacity or the overload score move; it reuses an
+// outcome only on an identical snapshot. A settled class has already
+// answered its memo reads without error, so skipping them hides none.
+// See listPolicy.backfillBehind for which outcomes settle.
+
+// beginBackfill starts a backfill pass with every class unsettled,
+// giving classes interned since the last pass a mark.
+func (t *classTable) beginBackfill() {
+	t.backfills++
+	if n := len(t.classes) - len(t.marks); n > 0 {
+		t.marks = append(t.marks, make([]settleMark, n)...)
+	}
+}
+
+// settle marks class h as placing nothing while the pass has made
+// placed placements (settledForPass: for the rest of the pass).
+func (t *classTable) settle(h int32, placed int) {
+	t.marks[h] = settleMark{pass: t.backfills, at: placed}
+}
+
+// settled reports whether class h is settled at the pass's current
+// placement count.
+func (t *classTable) settled(h int32, placed int) bool {
+	m := t.marks[h]
+	return m.pass == t.backfills && (m.at == placed || m.at == settledForPass)
 }
 
 // cost returns class h's memo entry for cfg, opening it if needed. At

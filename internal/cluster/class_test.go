@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"unsafe"
 
@@ -259,5 +260,70 @@ func TestBackfillSkipIgnoresDRAMShortfall(t *testing.T) {
 		if r := recordOf(t, m, 3); r.StartSeconds != 1 {
 			t.Errorf("%s: the 4-rank job started at %g, want 1 (backfilled behind the DRAM-short job)", pol.Name(), r.StartSeconds)
 		}
+	}
+}
+
+// TestBackfillSettleExpiresOnPlacement pins the settle key: a class
+// that placed nothing is skipped only until the pass's next placement,
+// which changes the snapshot the outcome was read from.
+//
+// Two 8-core nodes run 6-rank jobs, node 0 until t=10 and node 1 until
+// t=20. At t=1 an 8-rank head (reserved on node 0 for t=10) queues
+// ahead of H1 (2 ranks, 100 s), S (2 ranks, 5 s) and H2 (H1's class).
+// H1's first fit is node 0, where it would break the reservation, so
+// it waits and settles its class. S then backfills node 0's last two
+// cores, ending before the reservation. Now H2's first fit is node 1,
+// which is not reserved, so H2 must start at once.
+func TestBackfillSettleExpiresOnPlacement(t *testing.T) {
+	r0, r1 := workloads.GTCReadOnly(6), workloads.GTCMatrixMult(6)
+	head, long, short := workloads.MiniAMRReadOnly(8), workloads.GTCReadOnly(2), workloads.GTCMatrixMult(2)
+	est := fakeEst{dur: map[string]float64{r0.Name: 10, r1.Name: 20, head.Name: 10, long.Name: 100, short.Name: 5}}
+	tr := Trace{Jobs: []Job{
+		{ID: 0, Workflow: r0, ArrivalSeconds: 0},
+		{ID: 1, Workflow: r1, ArrivalSeconds: 0},
+		{ID: 2, Workflow: head, ArrivalSeconds: 1},
+		{ID: 3, Workflow: long, ArrivalSeconds: 1},
+		{ID: 4, Workflow: short, ArrivalSeconds: 1},
+		{ID: 5, Workflow: long, ArrivalSeconds: 1},
+	}}
+	for _, pol := range []Policy{EASY(core.SLocW), PMEMAware(), EASYInterferenceAware(core.SLocW), PMEMAwareInterferenceAware()} {
+		m, _ := checkMemo(t, pol.Name(), tr, Options{Nodes: 2, CoresPerSocket: 8, Policy: pol, Estimator: est})
+		if r := recordOf(t, m, 3); r.StartSeconds < 10 {
+			t.Errorf("%s: H1 started at %g, before the head's reservation", pol.Name(), r.StartSeconds)
+		}
+		if r := recordOf(t, m, 4); r.StartSeconds != 1 || r.Node != 0 {
+			t.Errorf("%s: S started at %g on node %d, want 1 on node 0", pol.Name(), r.StartSeconds, r.Node)
+		}
+		if r := recordOf(t, m, 5); r.StartSeconds != 1 || r.Node != 1 {
+			t.Errorf("%s: H2 started at %g on node %d, want 1 on node 1 (its class settled before S placed)", pol.Name(), r.StartSeconds, r.Node)
+		}
+	}
+}
+
+// TestBackfillSettleSkipsAvoidingJobs pins the settle exclusion: a
+// retried job steered away from the node that killed it picks by its
+// ID, not its class, so it neither reads nor sets its class's mark.
+// Contended fault streams under the failure-aware pmem-aware-i policy
+// must schedule exactly as the oracle, which settles nothing, and
+// enough of their jobs must be retried for the comparison to bind.
+func TestBackfillSettleSkipsAvoidingJobs(t *testing.T) {
+	catalog, est := propertyCatalog()
+	retried := 0
+	for seed := int64(0); seed < 10; seed++ {
+		tr, err := Synthetic(catalog, SyntheticConfig{Jobs: 200, MeanInterarrivalSeconds: 1, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := Options{Nodes: 4, CoresPerSocket: 8, Policy: PMEMAwareInterferenceAware(), Estimator: est,
+			Interference: DefaultInterference(), Faults: RandomFaults(150, 30, seed)}
+		m, _ := checkMemo(t, fmt.Sprintf("seed %d", seed), tr, opt)
+		for _, r := range m.Records {
+			if r.Attempts > 1 {
+				retried++
+			}
+		}
+	}
+	if retried < 200 {
+		t.Fatalf("only %d retried jobs across the streams: the avoid-node path is barely exercised", retried)
 	}
 }

@@ -342,6 +342,30 @@ func (c *SchedContext) profile(j *Job, cfg core.Config) (JobProfile, error) {
 	return c.classes.profile(c.states[j.ID].class, j, cfg)
 }
 
+// settleClass returns the class handle under which a backfill pass may
+// settle job j, or -1 when it may not: the context has no class table
+// (the tests' oracle, which stays the reference), or the job is steered
+// away from a failed node, so its pick depends on its ID and not only
+// on its class. Such a job neither reads nor sets its class's mark.
+func (c *SchedContext) settleClass(j *Job) int32 {
+	if c.classes == nil || c.AvoidNode(j.ID) >= 0 {
+		return -1
+	}
+	return c.states[j.ID].class
+}
+
+// settled and settle read and set class h's settle mark for this
+// backfill pass (see classTable.settle); h < 0 never settles.
+func (c *SchedContext) settled(h int32, placed int) bool {
+	return h >= 0 && c.classes.settled(h, placed)
+}
+
+func (c *SchedContext) settle(h int32, placed int) {
+	if h >= 0 {
+		c.classes.settle(h, placed)
+	}
+}
+
 // indexed reports whether the free-capacity index can answer queries
 // for this pass (it cannot once a zero-duration placement exists; see
 // ephemeral).

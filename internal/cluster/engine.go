@@ -278,7 +278,12 @@ type engine struct {
 	// Cores - FreeAt(now) would report, including the convention that a
 	// down node meters as fully busy), maintained incrementally so the
 	// metrics never rescan resident lists.
-	occ      []int
+	occ []int
+	// rerate[nodeID] marks a node whose residents changed since the last
+	// reflow rated it: set wherever the authoritative residency changes
+	// (commit's place, retire's remove, a failure clearing the node),
+	// cleared by reflow.
+	rerate   []bool
 	finished int // completed or permanently failed jobs
 
 	// Reusable copy-on-write snapshot scratch for the policy pass.
@@ -305,6 +310,7 @@ func newEngine(nodes, cores int, dram float64, policy Policy, est Estimator, iv 
 		nodes:   make([]*NodeView, nodes),
 		idx:     newFreeIndex(nodes, cores),
 		occ:     make([]int, nodes),
+		rerate:  make([]bool, nodes),
 	}
 	for i := range e.nodes {
 		e.nodes[i] = &NodeView{ID: i, Cores: cores, DRAMBytes: dram}
@@ -317,6 +323,7 @@ func (e *engine) addNode() int {
 	id := e.idx.add()
 	e.nodes = append(e.nodes, &NodeView{ID: id, Cores: e.cores, DRAMBytes: e.dram})
 	e.occ = append(e.occ, 0)
+	e.rerate = append(e.rerate, false)
 	return id
 }
 
@@ -355,7 +362,7 @@ func (e *engine) pass() ([]Placement, error) {
 }
 
 // commit validates and applies one pass's placements in order, then
-// re-rates every resident under the interference model.
+// re-rates the nodes they joined under the interference model.
 func (e *engine) commit(placements []Placement) error {
 	name := e.policy.Name()
 	for _, pl := range placements {
@@ -413,6 +420,7 @@ func (e *engine) commit(placements []Placement) error {
 			n.place(st.job.ID, ranks, st.end, dram, JobProfile{})
 			e.events.add(event{at: st.end, kind: evComplete, job: st.job.ID, epoch: st.epoch})
 		}
+		e.rerate[pl.Node] = true
 		if e.onCommit != nil {
 			e.onCommit(st, pl)
 		}
@@ -423,7 +431,7 @@ func (e *engine) commit(placements []Placement) error {
 		e.pending = removeJob(e.pending, st.job.ID)
 	}
 	if e.iv.Enabled && len(placements) > 0 {
-		// Newcomers changed residency: re-rate everyone again.
+		// Newcomers changed residency: re-rate their nodes.
 		e.reflow()
 	}
 	return nil
@@ -445,6 +453,7 @@ func (e *engine) retire(ev event) (bool, error) {
 		if !e.nodes[st.node].remove(st.job.ID) {
 			return false, fmt.Errorf("cluster: engine accounting: completion of job %d found no resident on node %d", st.job.ID, st.node)
 		}
+		e.rerate[st.node] = true
 		if st.end > st.start { // zero-remaining placements never occupied cores
 			e.idx.remove(st.node, st.job.Workflow.Ranks)
 			e.occ[st.node] -= st.job.Workflow.Ranks
@@ -461,6 +470,7 @@ func (e *engine) retire(ev event) (bool, error) {
 			}
 		}
 		n.Running = n.Running[:0]
+		e.rerate[ev.job] = true
 		e.idx.down(ev.job)
 		e.occ[ev.job] = n.Cores // a down node meters as fully busy (FreeAt reports 0 free)
 	case evNodeUp:
@@ -598,12 +608,19 @@ func simulate(src jobSource, opt Options, cores int) (*Metrics, error) {
 }
 
 // reflow is the fluid step: integrate every running job's progress up
-// to now under its current rate, recompute rates from the current
-// residency, and for every job whose rate changed re-estimate its
-// completion, bump its epoch, and post a fresh completion event (the
-// old one, now stale, is skipped when it pops). Rates are pure
+// to now under its current rate, recompute rates on the nodes whose
+// residency changed, and for every job whose rate changed re-estimate
+// its completion, bump its epoch, and post a fresh completion event
+// (the old one, now stale, is skipped when it pops). Rates are pure
 // functions of the deterministic residency sets, so reflow preserves
 // the engine's bit-for-bit reproducibility.
+//
+// Only nodes marked in rerate are rated: a node's rates depend on its
+// residents and the model alone, so re-rating an unmarked node would
+// reproduce every resident's current rate and change nothing. Progress
+// stays eager, integrated over every resident at every reflow: deferring
+// it would regroup (t1-t0)*r + (t2-t1)*r into (t2-t0)*r, which rounds
+// differently.
 func (e *engine) reflow() {
 	for _, n := range e.nodes {
 		for i := range n.Running {
@@ -614,7 +631,11 @@ func (e *engine) reflow() {
 			st.lastAt = e.now
 		}
 	}
-	for _, n := range e.nodes {
+	for id, n := range e.nodes {
+		if !e.rerate[id] {
+			continue
+		}
+		e.rerate[id] = false
 		rates := n.socketRates(e.iv)
 		for i := range n.Running {
 			st := e.states[n.Running[i].JobID]

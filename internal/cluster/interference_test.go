@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
 	"pmemsched/internal/core"
+	"pmemsched/internal/workflow"
 	"pmemsched/internal/workloads"
 )
 
@@ -133,6 +135,101 @@ func TestReflowDeterministic(t *testing.T) {
 		if !bytes.Equal(outs[0], outs[1]) {
 			t.Errorf("%s: two identical interference-on runs differ", pol().Name())
 		}
+	}
+}
+
+// rateCheck wraps a policy and, before every pass, re-rates every node
+// from its residents and demands that each resident already runs at
+// exactly that rate. A pass follows every reflow the engine makes, so
+// this checks that rating only the nodes whose residents changed
+// leaves no node stale.
+type rateCheck struct {
+	Policy
+	t       *testing.T
+	label   string
+	checked *int // residents compared
+	slowed  *int // residents found running below rate 1
+}
+
+func (r rateCheck) Schedule(ctx *SchedContext) ([]Placement, error) {
+	for _, n := range ctx.Nodes {
+		rates := n.socketRates(ctx.Model)
+		for _, res := range n.Running {
+			st := ctx.states[res.JobID]
+			if want := rates(st.profile); st.rate != want {
+				r.t.Fatalf("%s: t=%g: job %d on node %d runs at rate %v, re-rating its node gives %v",
+					r.label, ctx.Now, res.JobID, n.ID, st.rate, want)
+			}
+			*r.checked++
+			if st.rate < 1 {
+				*r.slowed++
+			}
+		}
+	}
+	return r.Policy.Schedule(ctx)
+}
+
+// bindingProfiles scales a catalog's demand profiles until the default
+// budgets bind: at the property catalog's own rates no socket of an
+// 8-core node can hold enough streams to exceed 13.9 GB/s of PMEM
+// writes or 82 GB/s of DRAM writes, so every rate would be 1.
+func bindingProfiles(est fakeEst) fakeEst {
+	prof := make(map[string]JobProfile, len(est.prof))
+	for name, p := range est.prof {
+		p.ReadBytesPerSecond *= 5
+		p.WriteBytesPerSecond *= 5
+		p.DRAMReadBytesPerSecond *= 25
+		p.DRAMWriteBytesPerSecond *= 25
+		prof[name] = p
+	}
+	return fakeEst{dur: est.dur, prof: prof}
+}
+
+// TestReflowRatesOnlyChangedNodes runs seeded streams with
+// interference, with faults on top, and with tiers against node DRAM
+// at the largest demand, and after every reflow compares each
+// resident's rate with a from-scratch re-rating of its node, bit for
+// bit. It fails unless some rates are below 1, so the budgets bind.
+func TestReflowRatesOnlyChangedNodes(t *testing.T) {
+	plain, plainEst := propertyCatalog()
+	tiered, tieredEst := tieredCatalog()
+	plainEst, tieredEst = bindingProfiles(plainEst), bindingProfiles(tieredEst)
+	variants := []struct {
+		name    string
+		catalog []workflow.Spec
+		opt     func(seed int64) Options
+	}{
+		{"interference", plain, func(int64) Options {
+			return Options{Interference: DefaultInterference(), Estimator: plainEst}
+		}},
+		{"interference+faults", plain, func(seed int64) Options {
+			return Options{Interference: DefaultInterference(), Faults: RandomFaults(150, 30, seed), Estimator: plainEst}
+		}},
+		{"tier+interference", tiered, func(int64) Options {
+			return Options{Interference: TieredInterference(), DRAMBytesPerNode: tierNodeDRAM(), Estimator: tieredEst}
+		}},
+	}
+	checked, slowed := 0, 0
+	for seed := int64(0); seed < 10; seed++ {
+		for _, v := range variants {
+			tr, err := Synthetic(v.catalog, SyntheticConfig{Jobs: 60, MeanInterarrivalSeconds: 3, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pol := range propertyPolicies() {
+				opt := v.opt(seed)
+				opt.Nodes, opt.CoresPerSocket = 3, 8
+				label := fmt.Sprintf("seed %d, %s, %s", seed, pol.Name(), v.name)
+				opt.Policy = rateCheck{Policy: pol, t: t, label: label, checked: &checked, slowed: &slowed}
+				if _, err := Simulate(tr, opt); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+			}
+		}
+	}
+	t.Logf("checked %d residents, %d below rate 1", checked, slowed)
+	if slowed < checked/20 {
+		t.Fatalf("only %d of %d checked residents ran below rate 1: the budgets barely bind", slowed, checked)
 	}
 }
 

@@ -226,8 +226,20 @@ func (p *listPolicy) backfillBehind(ctx *SchedContext, head *Job, rest []Job) ([
 	// skipped. The skip sits after config and profile so their errors
 	// surface exactly as before.
 	blocked := math.MaxInt
+	// A job that places nothing — width-blocked, no node picked, or the
+	// head's reservation would break — settles its class until the next
+	// placement; a width-blocked class stays settled for the whole pass,
+	// since blocked only shrinks. Later jobs of a settled class are
+	// skipped before their memo reads (see classTable.settle).
+	if ctx.classes != nil {
+		ctx.classes.beginBackfill()
+	}
 	for i := range rest {
 		j := &rest[i] // by pointer: a Job copy would be most of a skipped job's cost
+		h := ctx.settleClass(j)
+		if ctx.settled(h, len(placed)) {
+			continue
+		}
 		cfg, err := p.config(ctx, j)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %s: configuring job %d (%s): %w", p.name, j.ID, j.Workflow.Name, err)
@@ -237,6 +249,7 @@ func (p *listPolicy) backfillBehind(ctx *SchedContext, head *Job, rest []Job) ([
 			return nil, err
 		}
 		if j.Workflow.Ranks >= blocked {
+			ctx.settle(h, settledForPass)
 			continue
 		}
 		node := p.pick(ctx, j, prof)
@@ -247,6 +260,7 @@ func (p *listPolicy) backfillBehind(ctx *SchedContext, head *Job, rest []Job) ([
 			if ctx.fit(j.Workflow.Ranks, 0, -1) < 0 {
 				blocked = j.Workflow.Ranks
 			}
+			ctx.settle(h, len(placed))
 			continue
 		}
 		dur, err := ctx.estimate(j, cfg)
@@ -256,6 +270,7 @@ func (p *listPolicy) backfillBehind(ctx *SchedContext, head *Job, rest []Job) ([
 		end := ctx.Now + dur
 		// Would this placement still leave the head's reservation intact?
 		if end > shadow && node == reserved && !reservationIntact(ctx.Nodes[reserved], shadow, head, j) {
+			ctx.settle(h, len(placed))
 			continue
 		}
 		placed = append(placed, ctx.Place(*j, node, cfg, dur, prof))
